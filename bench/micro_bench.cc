@@ -16,6 +16,7 @@
 #include <cstdlib>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 
@@ -131,14 +132,12 @@ void BM_ExactExpectedCost(benchmark::State& state) {
 }
 BENCHMARK(BM_ExactExpectedCost)->Arg(1000)->Arg(4000)->Arg(10000)->Arg(16000);
 
-// The single exact sweep at scale: the serial reference
-// (Options::parallel_sweep = false — the pre-PR-5 sort-sweep) vs the
-// segmented engine (parallel radix + per-variable CDF trajectories +
-// ordered serial combine). On this 1-CPU container the parallel run
-// measures the engine's algorithmic effect (cache-friendly combine, no
-// divides in the dependent chain); wall-clock thread scaling needs a
-// many-core box. Outputs are bitwise identical either way
-// (tests/parallel_sweep_test.cc).
+// The single exact sweep at scale: an evaluator with no sweep_pool (the
+// serial sort-sweep) vs one borrowing a hardware-thread pool, which
+// routes sweeps of at least cost::kSegmentedSweepMinEvents events
+// through the segmented engine (parallel radix + per-variable CDF
+// trajectories + ordered serial combine). Outputs are bitwise identical
+// either way (tests/parallel_sweep_test.cc).
 void ExactSweepAtScale(benchmark::State& state, bool parallel) {
   const size_t n = static_cast<size_t>(state.range(0));
   auto dataset = MakeDataset(n);
@@ -146,7 +145,6 @@ void ExactSweepAtScale(benchmark::State& state, bool parallel) {
   auto centers = solver::Gonzalez(dataset.space(), sites, 8);
   ThreadPool pool(parallel ? 0 : 1);
   cost::ExpectedCostEvaluator::Options options;
-  options.parallel_sweep = parallel;
   options.sweep_pool = parallel ? &pool : nullptr;
   cost::ExpectedCostEvaluator evaluator(options);
   for (auto _ : state) {
@@ -174,7 +172,8 @@ BENCHMARK(BM_ExactSweepParallel)
     ->Arg(10000)
     ->Arg(100000)
     ->Arg(1000000)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 // The kd-tree cutover study behind cost::kDefaultKdTreeCutover: the
 // unassigned cost over k centers with the kd path forced off (linear
@@ -275,7 +274,8 @@ void BM_ParallelUnassignedCostBatch(benchmark::State& state) {
 BENCHMARK(BM_ParallelUnassignedCostBatch)
     ->Args({10000, 1})
     ->Args({10000, 8})
-    ->Args({100000, 8});
+    ->Args({100000, 8})
+    ->UseRealTime();
 
 // One local-search round (k = 8 positions × 16 pool candidates = 128
 // swapped center sets), scored the PR 1 way: a full exact evaluation
@@ -331,14 +331,15 @@ void BM_SwapSweepBatch(benchmark::State& state) {
 BENCHMARK(BM_SwapSweepBatch)
     ->Args({10000, 1})
     ->Args({10000, 8})
-    ->Args({100000, 8});
+    ->Args({100000, 8})
+    ->UseRealTime();
 
 // A ≥3-round local-search trajectory through SwapCostMatrix: round r's
 // accepted argmin swap feeds round r+1 — the access pattern of
-// LocalSearchUnassigned. Run once with the incremental engine off (the
-// PR 2 batch path: full table rebuild + full O(N) candidate scans every
-// round) and once with it on (k−1 distance rows and the untouched base
-// tables roll over; candidates scan only kd-surviving locations).
+// LocalSearchUnassigned. Run once with a fresh evaluator per round
+// (every round rebuilds every table from scratch) and once through one
+// evaluator (k−1 distance rows and the untouched base tables roll
+// over).
 void SwapSweepRounds(benchmark::State& state, bool incremental) {
   const size_t n = static_cast<size_t>(state.range(0));
   constexpr size_t kRounds = 3;
@@ -349,13 +350,13 @@ void SwapSweepRounds(benchmark::State& state, bool incremental) {
   for (size_t i = 0; i < 16; ++i) pool.push_back(sites[(i * 977) % sites.size()]);
   cost::ParallelCandidateEvaluator::Options options;
   options.threads = 1;
-  options.incremental_rollover = incremental;
-  options.kd_prune = incremental;
-  cost::ParallelCandidateEvaluator parallel(options);
+  std::optional<cost::ParallelCandidateEvaluator> parallel;
+  parallel.emplace(options);
   for (auto _ : state) {
     auto centers = seed->centers;
     for (size_t round = 0; round < kRounds; ++round) {
-      auto values = parallel.SwapCostMatrix(dataset, centers, pool);
+      if (!incremental) parallel.emplace(options);
+      auto values = parallel->SwapCostMatrix(dataset, centers, pool);
       UKC_CHECK(values.ok()) << values.status();
       // Accept the (position, candidate) argmin over non-identity swaps.
       double best = std::numeric_limits<double>::infinity();
@@ -412,8 +413,6 @@ void ChurnTrajectory(benchmark::State& state, bool incremental) {
   for (size_t i = 0; i < 16; ++i) pool.push_back(sites[(i * 977) % sites.size()]);
   cost::ParallelCandidateEvaluator::Options options;
   options.threads = 1;
-  options.incremental_rollover = true;
-  options.kd_prune = true;
   cost::ParallelCandidateEvaluator evaluator(options);
   {
     auto warm = evaluator.SwapCostMatrix(dataset, seed->centers, pool);
@@ -527,7 +526,7 @@ BENCHMARK(BM_TinyEnumerate)->Arg(200)->Unit(benchmark::kMillisecond);
 // CDFs — the storage the compaction shrinks 7n -> 2n doubles per
 // table), total swap-base bytes, and the escalation / replayed-event
 // counters that price the rare intermediate-rung re-derivations.
-void SwapLadderRounds(benchmark::State& state, bool compact) {
+void BM_SwapLadderCompact(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   constexpr size_t kRounds = 2;
   auto dataset = MakeDataset(n);
@@ -537,7 +536,6 @@ void SwapLadderRounds(benchmark::State& state, bool compact) {
   for (size_t i = 0; i < 16; ++i) pool.push_back(sites[(i * 977) % sites.size()]);
   cost::ParallelCandidateEvaluator::Options options;
   options.threads = 1;
-  options.evaluator.compact_swap_ladder = compact;
   cost::ParallelCandidateEvaluator parallel(options);
   for (auto _ : state) {
     auto centers = seed->centers;
@@ -575,16 +573,7 @@ void SwapLadderRounds(benchmark::State& state, bool compact) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(kRounds * 8 * pool.size()));
 }
-
-void BM_SwapLadderCompact(benchmark::State& state) {
-  SwapLadderRounds(state, /*compact=*/true);
-}
 BENCHMARK(BM_SwapLadderCompact)->Arg(100000)->Unit(benchmark::kMillisecond);
-
-void BM_SwapLadderFull(benchmark::State& state) {
-  SwapLadderRounds(state, /*compact=*/false);
-}
-BENCHMARK(BM_SwapLadderFull)->Arg(100000)->Unit(benchmark::kMillisecond);
 
 // A deterministic synthetic uncertain-point stream (8 planted cluster
 // homes, z = 4 locations per point, each point a pure function of its

@@ -21,8 +21,13 @@ fi
 cmake --build "$build" -j --target micro_bench
 
 # Provenance recorded into the JSON context (micro_bench main): the
-# commit the numbers were measured at, plus thread count / sizes.
-UKC_GIT_SHA="$(git -C "$root" rev-parse --short HEAD 2>/dev/null || echo unknown)" \
+# commit the numbers were measured at — with a -dirty suffix when the
+# working tree has uncommitted changes — plus thread count / sizes.
+git_sha="$(git -C "$root" rev-parse --short HEAD 2>/dev/null || echo unknown)"
+if [[ "$git_sha" != unknown && -n "$(git -C "$root" status --porcelain 2>/dev/null)" ]]; then
+  git_sha="$git_sha-dirty"
+fi
+UKC_GIT_SHA="$git_sha" \
 "$build/micro_bench" \
   --benchmark_out="$root/BENCH_micro.json" \
   --benchmark_out_format=json \

@@ -99,6 +99,12 @@ ukc::Result<ukc::exper::InstanceSpec> BuildSpec(const std::string& family,
                                                 double spread, int64_t seed) {
   ukc::exper::InstanceSpec spec;
   UKC_ASSIGN_OR_RETURN(spec.family, ParseFamily(family));
+  // Casting a negative flag to size_t would hand the generators an
+  // enormous size; refuse it here.
+  if (n < 0 || z < 0 || dim < 0) {
+    return ukc::Status::InvalidArgument("--n, --z and --dim must be >= 0");
+  }
+  if (k < 1) return ukc::Status::InvalidArgument("--k must be >= 1");
   spec.n = static_cast<size_t>(n);
   spec.z = static_cast<size_t>(z);
   spec.dim = static_cast<size_t>(dim);

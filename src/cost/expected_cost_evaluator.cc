@@ -134,42 +134,7 @@ void ExpectedCostEvaluator::SortEventsByValue() {
               });
     return;
   }
-  // LSD radix, 4 passes of 16 bits over the order-preserving key. One
-  // histogram pass, then per-digit scatters ping-ponging between the
-  // event buffer and its scratch twin; digit positions where every key
-  // agrees are skipped (typical for the high exponent bits of a
-  // distance distribution).
-  constexpr int kPasses = 4;
-  constexpr size_t kBuckets = 65536;
-  events_scratch_.resize(count);
-  radix_counts_.assign(kPasses * kBuckets, 0);
-  for (const Event& event : events_) {
-    const uint64_t key = OrderedBits(event.value);
-    for (int p = 0; p < kPasses; ++p) {
-      ++radix_counts_[p * kBuckets + ((key >> (16 * p)) & 0xFFFF)];
-    }
-  }
-  Event* src = events_.data();
-  Event* dst = events_scratch_.data();
-  bool swapped = false;
-  for (int p = 0; p < kPasses; ++p) {
-    uint32_t* counts = radix_counts_.data() + p * kBuckets;
-    const uint64_t first_digit = (OrderedBits(src[0].value) >> (16 * p)) & 0xFFFF;
-    if (counts[first_digit] == count) continue;  // All keys share this digit.
-    uint32_t running = 0;
-    for (size_t b = 0; b < kBuckets; ++b) {
-      const uint32_t c = counts[b];
-      counts[b] = running;
-      running += c;
-    }
-    for (size_t i = 0; i < count; ++i) {
-      const uint64_t digit = (OrderedBits(src[i].value) >> (16 * p)) & 0xFFFF;
-      dst[counts[digit]++] = src[i];
-    }
-    std::swap(src, dst);
-    swapped = !swapped;
-  }
-  if (swapped) events_.swap(events_scratch_);
+  RadixSortEventsByValue(/*pool=*/nullptr, /*track_positions=*/false);
 }
 
 void ExpectedCostEvaluator::RadixSortEventsByValue(ThreadPool* pool,
@@ -211,10 +176,19 @@ void ExpectedCostEvaluator::RadixSortEventsByValue(ThreadPool* pool,
       }
     }
   });
-  radix_counts_.assign(kPasses * kBuckets, 0);
-  for (size_t s = 0; s < shards; ++s) {
-    const uint32_t* counts = shard_counts_.data() + s * kPasses * kBuckets;
-    for (size_t b = 0; b < kPasses * kBuckets; ++b) radix_counts_[b] += counts[b];
+  // Per-pass totals for the skip decision. A single shard's histogram
+  // is the total: a pass reads its slice before its own prefix rewrites
+  // it, so the unsharded sort keeps one histogram array.
+  const uint32_t* totals = shard_counts_.data();
+  if (shards > 1) {
+    radix_counts_.assign(kPasses * kBuckets, 0);
+    for (size_t s = 0; s < shards; ++s) {
+      const uint32_t* counts = shard_counts_.data() + s * kPasses * kBuckets;
+      for (size_t b = 0; b < kPasses * kBuckets; ++b) {
+        radix_counts_[b] += counts[b];
+      }
+    }
+    totals = radix_counts_.data();
   }
 
   Event* src = events_.data();
@@ -224,7 +198,7 @@ void ExpectedCostEvaluator::RadixSortEventsByValue(ThreadPool* pool,
   bool swapped = false;
   bool scattered = false;
   for (int p = 0; p < kPasses; ++p) {
-    const uint32_t* total = radix_counts_.data() + p * kBuckets;
+    const uint32_t* total = totals + p * kBuckets;
     const uint64_t first_digit = (OrderedBits(src[0].value) >> (16 * p)) & 0xFFFF;
     if (total[first_digit] == count) continue;  // All keys share this digit.
     if (scattered && shards > 1) {
@@ -629,30 +603,15 @@ Status ExpectedCostEvaluator::BuildSwapBase(
   const double* probabilities = dataset.flat_probabilities().data();
   CheckScratchReservation();
 
-  // Sorted (value, location) base event stream. The LSD radix is stable
-  // over the ascending location fill; the small-input std::sort spells
-  // the tiebreak out.
+  // Sorted (value, location) base event stream, filled in ascending
+  // location order.
   events_.clear();
   events_.reserve(total);
   for (size_t l = 0; l < total; ++l) {
     events_.push_back(Event{base_distances[l], point_of[l],
                             static_cast<uint32_t>(l), probabilities[l]});
   }
-  if (events_.size() < kRadixSortCutover) {
-    std::sort(events_.begin(), events_.end(),
-              [](const Event& a, const Event& b) {
-                return a.value != b.value ? a.value < b.value
-                                          : a.location < b.location;
-              });
-  } else if (options_.parallel_sweep && SweepPool() != nullptr) {
-    // Same stable permutation as the serial radix, sharded over the
-    // pool — available when this evaluator is driven from the top
-    // level (ParallelCandidateEvaluator's single-stale-table rollover
-    // rounds), not from inside a pool job.
-    RadixSortEventsByValue(SweepPool(), /*track_positions=*/false);
-  } else {
-    SortEventsByValue();
-  }
+  SortEventsByValue();
   out->events.assign(events_.begin(), events_.end());
   FinishSwapBase(dataset, base_distances, out);
   return Status::OK();
@@ -670,7 +629,6 @@ Status ExpectedCostEvaluator::PatchSwapBase(
     return Status::InvalidArgument(
         "PatchSwapBase: table sizes must equal total_locations");
   }
-  const double* probabilities = dataset.flat_probabilities().data();
   CheckScratchReservation();
 
   // Replacement entries, in ascending location order, then sorted into
@@ -691,35 +649,42 @@ Status ExpectedCostEvaluator::PatchSwapBase(
   }
   std::sort(changed_.begin(), changed_.end());
 
-  // One merge pass: surviving old entries (already in order) against
-  // the sorted replacements.
+  // Surviving old entries (already in order) against the sorted
+  // replacements.
   events_.clear();
   events_.reserve(total);
   for (const Event& event : out->events) {
     if (changed_stamp_[event.location] != stamp_) events_.push_back(event);
   }
+  MergeReplacements(dataset, events_, point_of, out);
+  FinishSwapBase(dataset, new_base, out);
+  return Status::OK();
+}
+
+void ExpectedCostEvaluator::MergeReplacements(
+    const uncertain::UncertainDataset& dataset, std::span<const Event> kept,
+    std::span<const uint32_t> point_of, SwapBase* out) {
+  const double* probabilities = dataset.flat_probabilities().data();
+  const size_t total = kept.size() + changed_.size();
   events_scratch_.resize(total);
-  size_t a = 0;  // events_ (kept).
+  size_t a = 0;  // kept.
   size_t b = 0;  // changed_ (replacements).
   for (size_t slot = 0; slot < total; ++slot) {
     const bool take_kept =
         b >= changed_.size() ||
-        (a < events_.size() &&
-         (events_[a].value != changed_[b].first
-              ? events_[a].value < changed_[b].first
-              : events_[a].location < changed_[b].second));
+        (a < kept.size() && (kept[a].value != changed_[b].first
+                                 ? kept[a].value < changed_[b].first
+                                 : kept[a].location < changed_[b].second));
     if (take_kept) {
-      events_scratch_[slot] = events_[a++];
+      events_scratch_[slot] = kept[a++];
     } else {
       const uint32_t l = changed_[b].second;
-      events_scratch_[slot] = Event{changed_[b].first, point_of[l], l,
-                                    probabilities[l]};
+      events_scratch_[slot] =
+          Event{changed_[b].first, point_of[l], l, probabilities[l]};
       ++b;
     }
   }
   out->events.assign(events_scratch_.begin(), events_scratch_.end());
-  FinishSwapBase(dataset, new_base, out);
-  return Status::OK();
 }
 
 Status ExpectedCostEvaluator::EditSwapBase(
@@ -750,7 +715,6 @@ Status ExpectedCostEvaluator::EditSwapBase(
     return Status::InvalidArgument(
         "EditSwapBase: table was not built for the pre-edit stream");
   }
-  const double* probabilities = dataset.flat_probabilities().data();
   CheckScratchReservation();
 
   if (edit.is_insert) {
@@ -763,26 +727,7 @@ Status ExpectedCostEvaluator::EditSwapBase(
       changed_.emplace_back(new_base[l], static_cast<uint32_t>(l));
     }
     std::sort(changed_.begin(), changed_.end());
-    events_scratch_.resize(total);
-    size_t a = 0;  // out->events (kept, already in order).
-    size_t b = 0;  // changed_ (the appended point).
-    for (size_t slot = 0; slot < total; ++slot) {
-      const bool take_kept =
-          b >= changed_.size() ||
-          (a < out->events.size() &&
-           (out->events[a].value != changed_[b].first
-                ? out->events[a].value < changed_[b].first
-                : out->events[a].location < changed_[b].second));
-      if (take_kept) {
-        events_scratch_[slot] = out->events[a++];
-      } else {
-        const uint32_t l = changed_[b].second;
-        events_scratch_[slot] =
-            Event{changed_[b].first, point_of[l], l, probabilities[l]};
-        ++b;
-      }
-    }
-    out->events.assign(events_scratch_.begin(), events_scratch_.end());
+    MergeReplacements(dataset, out->events, point_of, out);
   } else {
     // Compaction: drop the deleted point's events and renumber the
     // retained index/location fields for the closed gap. The
@@ -913,8 +858,7 @@ void ExpectedCostEvaluator::FinishSwapBase(
     // replaying events[deepest.index, index) — see
     // ScoreSwapFromChanged. The swap releases the capacity, not just
     // the size: held capacity would defeat the compaction.
-    if (!options_.compact_swap_ladder || level == 0 ||
-        level == static_cast<int>(kSwapLadderRungs) - 1) {
+    if (level == 0 || level == static_cast<int>(kSwapLadderRungs) - 1) {
       snapshot.cdf.assign(cdf.begin(), cdf.end());
     } else {
       std::vector<double>().swap(snapshot.cdf);
@@ -1338,11 +1282,10 @@ Result<double> ExpectedCostEvaluator::ScoreSwapFromChanged(
     // rung (always resident) by replaying the base prefix
     // events[deepest.index, level->index) — the same per-variable
     // additions in the same order FinishSwapBase applied them, so the
-    // result is bitwise identical to the rung the reference ladder
-    // stores. The derivation is cached per (table, epoch, rung):
-    // every further candidate of the round escalating to this rung
-    // reuses it, so the O(prefix) replay is paid once per evaluator,
-    // not once per candidate.
+    // result is bitwise identical to storing the rung's CDF. The
+    // derivation is cached per (table, rung): every further candidate
+    // of the round escalating to this rung reuses it, so the O(prefix)
+    // replay is paid once per evaluator, not once per candidate.
     const int level_index = static_cast<int>(level - base.levels);
     if (derived_build_id_ != base.build_id || derived_level_ != level_index) {
       const SwapBase::Snapshot& deepest =
@@ -1417,7 +1360,7 @@ void ExpectedCostEvaluator::ReserveScratch(size_t n, size_t total_locations) {
   changed_tail_.reserve(total_locations);
   swap_first_.reserve(n);
   swap_order_.reserve(n);
-  if (options_.parallel_sweep && options_.sweep_pool != nullptr) {
+  if (options_.sweep_pool != nullptr) {
     // Segmented-engine buffers (~21 bytes/location) only where the
     // engine can actually run: worker evaluators inside a pool keep
     // sweep_pool null and must not hold dead reservations.
@@ -1445,9 +1388,9 @@ void ExpectedCostEvaluator::CheckScratchReservation() const {
 }
 
 size_t ExpectedCostEvaluator::SwapBase::LadderBytes() const {
-  // Snapshot CDFs only — the storage compact_swap_ladder shrinks 7n ->
-  // 2n doubles. The escalation side tables (bottleneck flags, deep
-  // points) exist identically in both variants and are accounted in
+  // Snapshot CDFs only — the storage the compact ladder holds at 2n
+  // doubles instead of 7n. The escalation side tables (bottleneck
+  // flags, deep points) are accounted in
   // ParallelCandidateEvaluator::SwapBaseMemoryBytes.
   size_t bytes = 0;
   for (const Snapshot& snapshot : levels) {

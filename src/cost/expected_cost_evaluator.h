@@ -83,6 +83,11 @@ using DiscreteDistribution = std::vector<std::pair<double, double>>;
 /// k = 40.
 inline constexpr size_t kDefaultKdTreeCutover = 40;
 
+/// Smallest sweep (in events) that runs through the segmented engine
+/// when ExpectedCostEvaluator::Options::sweep_pool offers more than one
+/// thread; below it the engine's extra passes do not pay off.
+inline constexpr size_t kSegmentedSweepMinEvents = 32768;
+
 /// Options bounding the exact evaluations (BruteForceCostOptions-style).
 struct ExactCostOptions {
   /// Centers >= this use the kd-tree path (Euclidean L2 spaces only).
@@ -134,24 +139,18 @@ class ExpectedCostEvaluator {
     /// Threads fanning out over Monte-Carlo samples; 1 = sequential
     /// (and bit-identical to the historical estimator).
     int monte_carlo_threads = 1;
-    /// Use the segmented exact-sweep engine (parallel radix sort +
-    /// per-variable CDF trajectories + ordered serial combine) for
-    /// sweeps of at least parallel_sweep_cutover events when sweep_pool
-    /// offers real parallelism. The engine is bitwise identical to the
-    /// serial scan at every thread count — false keeps the plain
-    /// serial sort-sweep as the reference path.
-    bool parallel_sweep = true;
-    /// Event count below which the serial sweep is used even when
-    /// parallel_sweep is on (the segmented engine's extra passes only
-    /// pay off on large streams). Tests set 1 to force the engine.
-    size_t parallel_sweep_cutover = 32768;
-    /// Borrowed pool fanning out the segmented engine's phases. Null —
-    /// or a 1-thread pool — keeps the serial sweep: the engine trades
-    /// extra memory passes for parallel phases, so without real
-    /// parallelism the serial scan is the faster identical-result
-    /// path (measured in BM_ExactSweep{Serial,Parallel}). Callers
-    /// running the evaluator from inside a pool job must leave this
-    /// null (a pool must not be re-entered from one of its own jobs).
+    /// Borrowed pool fanning out the segmented exact-sweep engine
+    /// (parallel radix sort + per-variable CDF trajectories + ordered
+    /// serial combine), which is bitwise identical to the serial scan
+    /// at every thread count. The engine runs only when this pool has
+    /// more than one thread and the sweep holds at least
+    /// kSegmentedSweepMinEvents events; otherwise (null, a 1-thread
+    /// pool, or a smaller sweep) the serial sort-sweep runs — the
+    /// engine trades extra memory passes for parallel phases, which
+    /// only pays with real parallelism on large streams (measured in
+    /// BM_ExactSweep{Serial,Parallel}). Callers running the evaluator
+    /// from inside a pool job must leave this null (a pool must not be
+    /// re-entered from one of its own jobs).
     ThreadPool* sweep_pool = nullptr;
     /// Cancellation/budget token checked once per evaluation entry
     /// (per candidate on batch and swap paths — coarse on purpose, so
@@ -161,13 +160,6 @@ class ExpectedCostEvaluator {
     /// by construction (every evaluation rewrites it from scratch), so
     /// no cleanup beyond returning is needed.
     Deadline deadline;
-    /// Store only rung 0 and the deepest rung's per-point CDF in
-    /// SwapBase (the ~3.5x ladder memory compaction); an escalation
-    /// that lands on an intermediate rung re-derives its CDF once per
-    /// candidate by replaying events[deepest.index, rung.index) —
-    /// bitwise identical to the stored rung. false keeps all
-    /// kSwapLadderRungs CDFs resident (the reference ladder).
-    bool compact_swap_ladder = true;
   };
 
   ExpectedCostEvaluator() = default;
@@ -239,12 +231,14 @@ class ExpectedCostEvaluator {
   static constexpr size_t kSwapLadderRungs = 7;
 
   struct SwapBase {
-    /// One rung: the sweep state just below `threshold`. Under
-    /// Options::compact_swap_ladder only rung 0 and the deepest rung
-    /// keep their `cdf` resident; an intermediate rung's CDF is
-    /// re-derived on demand from the deepest rung by replaying
-    /// events[deepest.index, index) — the product state (zeros,
-    /// mantissa, exponent) stays stored, it is O(1).
+    /// One rung: the sweep state just below `threshold`. Only rung 0
+    /// and the deepest rung keep their `cdf` resident (2n instead of
+    /// kSwapLadderRungs·n doubles per table); an intermediate rung's
+    /// CDF is left empty and re-derived on demand from the deepest rung
+    /// by replaying events[deepest.index, index). The product state
+    /// (zeros, mantissa, exponent) stays stored, it is O(1). A rung
+    /// whose `cdf` is filled is used as stored, so a table with every
+    /// rung filled scores bitwise identically.
     struct Snapshot {
       double threshold = 0.0;
       size_t index = 0;  // First event with value >= threshold.
@@ -280,11 +274,10 @@ class ExpectedCostEvaluator {
     /// BuildSwapBase/score API where epoch stays 0.
     uint64_t build_id = 0;
 
-    /// Resident bytes of the snapshot CDFs — exactly the storage
-    /// Options::compact_swap_ladder cuts 7n -> 2n doubles (~3.5x).
-    /// The event stream and the escalation side tables (bottleneck
-    /// flags, deep points), which both ladder variants hold
-    /// identically, are accounted in
+    /// Resident bytes of the snapshot CDFs — the storage the compact
+    /// ladder holds at 2n doubles instead of 7n (~3.5x less). The
+    /// event stream and the escalation side tables (bottleneck flags,
+    /// deep points) are accounted in
     /// ParallelCandidateEvaluator::SwapBaseMemoryBytes.
     size_t LadderBytes() const;
   };
@@ -405,20 +398,21 @@ class ExpectedCostEvaluator {
   Status FillUnassignedEvents(const uncertain::UncertainDataset& dataset,
                               const std::vector<metric::SiteId>& centers);
 
-  // Sorts events_ ascending by (value, location): LSD radix over the
-  // order-preserving bit transform of the key for large inputs (the
-  // sweep's former std::sort bottleneck), std::sort below the cutover.
-  // Every event fill writes ascending locations, so the stable radix
-  // and the tie-spelled std::sort produce the same permutation.
+  // Sorts events_ ascending by (value, location): the serial LSD radix
+  // (RadixSortEventsByValue without a pool) over the order-preserving
+  // bit transform of the key for large inputs, std::sort below the
+  // cutover. Every event fill writes ascending locations, so the
+  // stable radix and the tie-spelled std::sort produce the same
+  // permutation.
   void SortEventsByValue();
 
-  // The segmented engine's sort: stable LSD radix by value, sharded
-  // over `pool` (per-worker histograms over contiguous event shards,
-  // one exact serial prefix over the combined histograms, per-worker
-  // scatters into precomputed disjoint destination ranges). Bitwise
-  // identical to the serial radix — and to SortEventsByValue — at
-  // every thread count. With track_positions, perm_[e] is left holding
-  // the pre-sort position of sorted event e.
+  // Stable LSD radix by value, sharded over `pool` when it is non-null
+  // (per-worker histograms over contiguous event shards, one exact
+  // serial prefix over the combined histograms, per-worker scatters
+  // into precomputed disjoint destination ranges). Bitwise identical
+  // at every shard count, including the unsharded null-pool run. With
+  // track_positions, perm_[e] is left holding the pre-sort position
+  // of sorted event e.
   void RadixSortEventsByValue(ThreadPool* pool, bool track_positions);
 
   // The pool the segmented engine may fan out over: the configured
@@ -431,12 +425,19 @@ class ExpectedCostEvaluator {
                : nullptr;
   }
 
-  // True when the current options route a sweep of `count` events
-  // through the segmented engine.
+  // True when a sweep of `count` events runs through the segmented
+  // engine.
   bool UseSegmentedSweep(size_t count) const {
-    return options_.parallel_sweep && SweepPool() != nullptr &&
-           count >= options_.parallel_sweep_cutover;
+    return SweepPool() != nullptr && count >= kSegmentedSweepMinEvents;
   }
+
+  // Merges `kept` (already in (value, location) order) with the sorted
+  // replacement entries in changed_ into out->events, reproducing the
+  // exact (value, location) order a full sort produces. Shared by
+  // PatchSwapBase and the insert edit of EditSwapBase.
+  void MergeReplacements(const uncertain::UncertainDataset& dataset,
+                         std::span<const Event> kept,
+                         std::span<const uint32_t> point_of, SwapBase* out);
 
   // The no-shrink tripwire armed by ReserveScratch: a swap-base build
   // whose scratch capacity dropped below the reservation means
@@ -463,7 +464,7 @@ class ExpectedCostEvaluator {
   // collection pass.
   void BeginChangedCollection(const uncertain::UncertainDataset& dataset);
 
-  // The shared back half of BuildSwapBase/PatchSwapBase: derives the
+  // The shared back half of the swap-base builds: derives the
   // rung thresholds, bottleneck flags, and ladder snapshots from
   // base_distances and the already-sorted out->events.
   void FinishSwapBase(const uncertain::UncertainDataset& dataset,
@@ -532,20 +533,20 @@ class ExpectedCostEvaluator {
   // Exact-sweep scratch.
   std::vector<Event> events_;
   std::vector<Event> events_scratch_;   // Radix-sort ping-pong buffer.
-  std::vector<uint32_t> radix_counts_;  // Radix-sort histograms.
+  std::vector<uint32_t> shard_counts_;  // Per-shard radix histograms.
   std::vector<double> cdf_;
 
   // Segmented-engine scratch: the position permutation tracked through
   // the parallel radix (perm_: sorted -> pre-sort, inv_: pre-sort ->
-  // sorted), the per-event precomputed product ratios / zero flags,
-  // per-shard radix histograms, and the per-variable offsets built for
-  // non-CSR fills (ExpectedMaxOfIndependent).
+  // sorted), the per-event precomputed product ratios / zero flags, the
+  // sharded radix's per-pass totals, and the per-variable offsets built
+  // for non-CSR fills (ExpectedMaxOfIndependent).
   std::vector<uint32_t> perm_;
   std::vector<uint32_t> perm_scratch_;
   std::vector<uint32_t> inv_;
   std::vector<double> ratio_;
   std::vector<uint8_t> ratio_zero_;
-  std::vector<uint32_t> shard_counts_;
+  std::vector<uint32_t> radix_counts_;
   std::vector<size_t> var_offsets_scratch_;
 
   // Scratch reservation high-water (events); 0 = never reserved. Swap

@@ -35,10 +35,18 @@
 //     with per-position subtree bounds of the base distances lets each
 //     candidate visit only the ~m locations it can possibly improve,
 //     instead of all N (ExpectedCostEvaluator::UnassignedCostSwapPruned).
-// Both paths are bitwise identical to the full rebuild + full O(N)
-// scan, which remain available via Options as the reference path
-// (asserted by tests/incremental_sweep_test.cc across thread counts,
-// dimensions, and multi-round trajectories).
+// Both are always on for Euclidean datasets (other spaces rebuild every
+// call and scan all N). Both are bitwise identical to a full rebuild +
+// full O(N) scan: tests/incremental_sweep_test.cc checks them against a
+// fresh evaluator per round and against direct
+// ExpectedCostEvaluator::UnassignedCostSwapPresorted calls on
+// BuildSwapBase tables, across thread counts, dimensions, and
+// multi-round trajectories.
+//
+// Every task — batch candidates, table builds, swap candidates — runs
+// on a worker's private evaluator inside the pool; the pool is never
+// re-entered from a job, so the workers' segmented sweep stays off
+// (ExpectedCostEvaluator::Options::sweep_pool is forced null).
 
 #ifndef UKC_COST_PARALLEL_EVALUATOR_H_
 #define UKC_COST_PARALLEL_EVALUATOR_H_
@@ -71,21 +79,8 @@ class ParallelCandidateEvaluator {
     ThreadPool* pool = nullptr;
     /// Per-worker evaluator configuration. monte_carlo_threads is
     /// forced to 1 and sweep_pool is forced null for the workers (a
-    /// pool must not be re-entered from inside its own jobs); the
-    /// separate MAIN evaluator — used for batches too small to shard
-    /// and for single-stale-table swap rounds — gets sweep_pool wired
-    /// to this evaluator's pool, so those calls parallelize INSIDE the
-    /// sweep instead (bitwise identical either way).
+    /// pool must not be re-entered from inside its own jobs).
     ExpectedCostEvaluator::Options evaluator;
-    /// Roll SwapCostMatrix base tables across calls when the dataset is
-    /// unchanged and at most one center differs (bitwise identical to a
-    /// full rebuild; Euclidean datasets only). Off = the reference
-    /// full-rebuild path.
-    bool incremental_rollover = true;
-    /// Prune each swap candidate's distance pass with the location
-    /// kd-tree (bitwise identical to the full O(N) scan; Euclidean
-    /// datasets only). Off = the reference full-scan path.
-    bool kd_prune = true;
   };
 
   /// Default options: hardware thread count, default evaluator config.
@@ -175,13 +170,6 @@ class ParallelCandidateEvaluator {
                      const std::function<Status(ExpectedCostEvaluator&, size_t)>& fn);
 
  private:
-  // True when a small batch should run serially on the main evaluator
-  // with the segmented sweep fanning out inside each candidate: the
-  // engine must be enabled, the pool real, and the dataset's streams
-  // at least the engine cutover (else the serial loop would forfeit
-  // the workers for nothing).
-  bool SweepsInsideCandidates(const uncertain::UncertainDataset& dataset) const;
-
   // Runs fn(worker, index) over [0, count) on the pool, collecting one
   // Status per index; returns the first error in index order.
   template <typename Fn>
@@ -192,10 +180,6 @@ class ParallelCandidateEvaluator {
   // One per worker; vector never reallocates after construction (the
   // evaluator is pinned by its atomic owner mark).
   std::vector<ExpectedCostEvaluator> evaluators_;
-  // The top-level evaluator whose segmented sweeps fan out over pool_
-  // (see Options::evaluator). Only ever run from the calling thread,
-  // never from inside a pool job.
-  ExpectedCostEvaluator main_evaluator_;
   // Last ReserveScratch sizing handed to the evaluators (dataset
   // header: points, total locations); re-issued only when it grows.
   size_t reserved_points_ = 0;

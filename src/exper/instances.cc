@@ -25,6 +25,13 @@ std::string FamilyToString(Family family) {
 }
 
 Result<uncertain::UncertainDataset> MakeInstance(const InstanceSpec& spec) {
+  if (spec.n == 0 || spec.z == 0 || spec.dim == 0) {
+    return Status::InvalidArgument("MakeInstance: n, z and dim must be >= 1");
+  }
+  if (!std::isfinite(spec.spread) || spec.spread < 0.0) {
+    return Status::InvalidArgument(
+        "MakeInstance: spread must be finite and >= 0");
+  }
   uncertain::EuclideanInstanceOptions options;
   options.n = spec.n;
   options.z = spec.z;

@@ -35,7 +35,8 @@ struct InstanceSpec {
   uint64_t seed = 1;
 };
 
-/// Materializes the instance.
+/// Materializes the instance. InvalidArgument when n, z or dim is 0
+/// or spread is negative or not finite.
 Result<uncertain::UncertainDataset> MakeInstance(const InstanceSpec& spec);
 
 /// One-line description for table headers.

@@ -495,11 +495,10 @@ Result<StreamingCoreset> RunIngest(size_t dim, const ResumableSource& source,
 
   // One batch group: up to `shards` batches pulled serially off the
   // source, plus the read outcome and the stream position after the
-  // group (captured here, by the reading thread, because with double
-  // buffering the next group has already been prefetched by the time
-  // this one is processed — a checkpoint-time tell() would be one
-  // group ahead). With double buffering two of these ping-pong between
-  // the reader thread and the processing loop.
+  // group (captured here, by the reading thread, because the next group
+  // has already been prefetched by the time this one is processed — a
+  // checkpoint-time tell() would be one group ahead). Two of these
+  // ping-pong between the reader thread and the processing loop.
   struct Group {
     std::vector<uncertain::UncertainPointBatch> batches;
     size_t loaded = 0;
@@ -640,88 +639,73 @@ Result<StreamingCoreset> RunIngest(size_t dim, const ResumableSource& source,
     }
   };
 
-  if (!options.double_buffer) {
-    // Reference path: read a group, process it, repeat.
-    Group group;
-    group.batches.resize(shards);
-    bool done = false;
-    while (!done) {
-      fill_group(&group);
-      UKC_RETURN_IF_ERROR(group.status);
-      done = group.done;
-      UKC_RETURN_IF_ERROR(process_group(group));
-      if (group.loaded == 0) break;
-      maybe_checkpoint(group);
-    }
-  } else {
-    // Double-buffered path: a dedicated reader thread fills group r+1
-    // while the pool processes group r. The source is only ever
-    // touched by the reader (reads stay strictly serial), and groups
-    // are handed over whole, so the shard assignment above is
-    // untouched.
-    Group groups[2];
-    groups[0].batches.resize(shards);
-    groups[1].batches.resize(shards);
-    std::mutex mutex;
-    std::condition_variable cv;
-    int requested = -1;  // Slot the reader should fill next.
-    bool ready = false;  // The requested slot has been filled.
-    bool stop = false;
-    std::thread reader([&] {
-      std::unique_lock<std::mutex> lock(mutex);
-      while (true) {
-        cv.wait(lock, [&] { return requested >= 0 || stop; });
-        if (stop) return;
-        const int slot = requested;
-        requested = -1;
-        lock.unlock();
-        fill_group(&groups[slot]);
-        lock.lock();
-        ready = true;
-        cv.notify_all();
-      }
-    });
-    // Stops and joins the reader on every exit path, including early
-    // error returns while a prefetch is still in flight.
-    struct ReaderJoiner {
-      std::thread* thread;
-      std::mutex* mutex;
-      std::condition_variable* cv;
-      bool* stop;
-      ~ReaderJoiner() {
-        {
-          std::lock_guard<std::mutex> lock(*mutex);
-          *stop = true;
-          cv->notify_all();
-        }
-        thread->join();
-      }
-    } joiner{&reader, &mutex, &cv, &stop};
-    const auto request = [&](int slot) {
-      std::lock_guard<std::mutex> lock(mutex);
-      requested = slot;
-      ready = false;
+  // Double-buffered ingestion: a dedicated reader thread fills group
+  // r+1 while the pool processes group r. The source is only ever
+  // touched by the reader (reads stay strictly serial), and groups
+  // are handed over whole, so the shard assignment above is
+  // untouched.
+  Group groups[2];
+  groups[0].batches.resize(shards);
+  groups[1].batches.resize(shards);
+  std::mutex mutex;
+  std::condition_variable cv;
+  int requested = -1;  // Slot the reader should fill next.
+  bool ready = false;  // The requested slot has been filled.
+  bool stop = false;
+  std::thread reader([&] {
+    std::unique_lock<std::mutex> lock(mutex);
+    while (true) {
+      cv.wait(lock, [&] { return requested >= 0 || stop; });
+      if (stop) return;
+      const int slot = requested;
+      requested = -1;
+      lock.unlock();
+      fill_group(&groups[slot]);
+      lock.lock();
+      ready = true;
       cv.notify_all();
-    };
-    const auto wait_ready = [&] {
-      std::unique_lock<std::mutex> lock(mutex);
-      cv.wait(lock, [&] { return ready; });
-    };
-
-    int current = 0;
-    request(current);
-    bool done = false;
-    while (!done) {
-      wait_ready();
-      Group& group = groups[current];
-      UKC_RETURN_IF_ERROR(group.status);
-      done = group.done;
-      if (!done) request(1 - current);  // Overlap the next group's read.
-      UKC_RETURN_IF_ERROR(process_group(group));
-      if (group.loaded == 0) break;
-      maybe_checkpoint(group);
-      current = 1 - current;
     }
+  });
+  // Stops and joins the reader on every exit path, including early
+  // error returns while a prefetch is still in flight.
+  struct ReaderJoiner {
+    std::thread* thread;
+    std::mutex* mutex;
+    std::condition_variable* cv;
+    bool* stop;
+    ~ReaderJoiner() {
+      {
+        std::lock_guard<std::mutex> lock(*mutex);
+        *stop = true;
+        cv->notify_all();
+      }
+      thread->join();
+    }
+  } joiner{&reader, &mutex, &cv, &stop};
+  const auto request = [&](int slot) {
+    std::lock_guard<std::mutex> lock(mutex);
+    requested = slot;
+    ready = false;
+    cv.notify_all();
+  };
+  const auto wait_ready = [&] {
+    std::unique_lock<std::mutex> lock(mutex);
+    cv.wait(lock, [&] { return ready; });
+  };
+
+  int current = 0;
+  request(current);
+  bool done = false;
+  while (!done) {
+    wait_ready();
+    Group& group = groups[current];
+    UKC_RETURN_IF_ERROR(group.status);
+    done = group.done;
+    if (!done) request(1 - current);  // Overlap the next group's read.
+    UKC_RETURN_IF_ERROR(process_group(group));
+    if (group.loaded == 0) break;
+    maybe_checkpoint(group);
+    current = 1 - current;
   }
   if (shard_sets.empty()) {
     // A resume that landed exactly at the end of the stream: the

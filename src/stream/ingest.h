@@ -8,7 +8,11 @@
 // and each group is processed by one ThreadPool::ParallelFor — batch g
 // of group r feeds shard (r·shards + g) mod shards, so no two workers
 // ever touch one shard and each shard sees its subsequence of batches
-// in stream order. The shard coresets are then reduced by an ordered
+// in stream order. Ingestion is double-buffered: a dedicated reader
+// thread (the only one that ever pulls the source) fills group r+1
+// while the pool processes group r, so I/O and compute overlap on
+// parse-heavy file streams without changing which batch feeds which
+// shard. The shard coresets are then reduced by an ordered
 // binary merge tree (stride 1, 2, 4, ... — disjoint pairs merge in
 // parallel). None of this is needed for determinism — the grid coreset
 // is bitwise partition-invariant by construction (stream/coreset.h) —
@@ -177,15 +181,6 @@ struct IngestOptions {
   size_t chunk_size = 4096;
   /// Shard coresets built concurrently; <= 0 = the pool's thread count.
   int shards = 0;
-  /// Double-buffer ingestion: a dedicated reader thread pulls batch
-  /// group r+1 off the source while the pool processes group r, so
-  /// I/O and compute overlap on parse-heavy file streams. The source
-  /// is still read strictly serially (only ever by the reader), groups
-  /// are formed identically, and batch g of a group still feeds shard
-  /// g — the batch→shard→ordered-merge determinism rule is untouched,
-  /// so the coreset is bitwise identical either way. false = the
-  /// serial read-then-process alternation (the reference path).
-  bool double_buffer = true;
   CoresetOptions coreset;
   /// Bounded retry of transient batch-source failures (kUnavailable
   /// only; see common/retry.h). Sources must not consume input on a

@@ -287,11 +287,9 @@ uncertain::UncertainDataset MakeCostDataset(size_t n, size_t dim, size_t z,
   return std::move(exper::MakeInstance(spec)).value();
 }
 
-cost::ParallelCandidateEvaluator::Options CostOptions(int threads, bool fast) {
+cost::ParallelCandidateEvaluator::Options CostOptions(int threads) {
   cost::ParallelCandidateEvaluator::Options options;
   options.threads = threads;
-  options.incremental_rollover = fast;
-  options.kd_prune = fast;
   return options;
 }
 
@@ -362,15 +360,15 @@ TEST(CostChurnTest, ChurnTrajectoriesMatchFullRebuildBitwise) {
       for (size_t i = 0; i < 10; ++i) {
         pool.push_back(sites[(i * 131) % sites.size()]);
       }
-      cost::ParallelCandidateEvaluator incremental(CostOptions(threads, true));
+      cost::ParallelCandidateEvaluator incremental(CostOptions(threads));
       // Same seed for every thread count: the trajectory (inserted
       // points, delete victims) must be identical for the cross-thread
       // comparison to be meaningful.
       Rng rng(seed * 31);
       for (size_t round = 0; round < kRounds; ++round) {
-        // Reference: a FRESH evaluator with the incremental paths off —
-        // a from-scratch rebuild on the post-edit dataset every round.
-        cost::ParallelCandidateEvaluator reference(CostOptions(threads, false));
+        // Reference: a FRESH evaluator — a from-scratch rebuild on the
+        // post-edit dataset every round.
+        cost::ParallelCandidateEvaluator reference(CostOptions(threads));
         auto expected = reference.SwapCostMatrix(dataset, centers, pool);
         auto actual = incremental.SwapCostMatrix(dataset, centers, pool);
         ASSERT_TRUE(expected.ok()) << expected.status();
@@ -428,7 +426,7 @@ TEST(CostChurnTest, AppliedEditKeepsTheRolloverCacheHot) {
   obs::Counter* hits = obs::MetricsRegistry::Default().GetCounter(
       "ukc_swap_rollover_total", "Swap-table rollover checks by outcome",
       {{"outcome", "hit"}});
-  cost::ParallelCandidateEvaluator evaluator(CostOptions(1, true));
+  cost::ParallelCandidateEvaluator evaluator(CostOptions(1));
   ASSERT_TRUE(
       evaluator.SwapCostMatrix(dataset, gonzalez->centers, pool).ok());
 
@@ -463,7 +461,7 @@ TEST(CostChurnTest, EditWithoutStateIsANoOpAndForeignChangesStillMiss) {
   std::vector<SiteId> pool(sites.begin(), sites.begin() + 8);
 
   // No prior SwapCostMatrix: nothing to roll, and the later call works.
-  cost::ParallelCandidateEvaluator cold(CostOptions(1, true));
+  cost::ParallelCandidateEvaluator cold(CostOptions(1));
   Rng rng(6);
   const auto point = MakeInsertPoint(space, 2, 2, rng);
   cost::DatasetEdit edit;
@@ -479,11 +477,11 @@ TEST(CostChurnTest, EditWithoutStateIsANoOpAndForeignChangesStillMiss) {
   // Warm the cache, then mutate WITHOUT declaring the edit: the next
   // call must agree with a fresh evaluator (fingerprint miss, full
   // rebuild), not serve stale rolled tables.
-  cost::ParallelCandidateEvaluator warm(CostOptions(1, true));
+  cost::ParallelCandidateEvaluator warm(CostOptions(1));
   ASSERT_TRUE(warm.SwapCostMatrix(dataset, gonzalez->centers, pool).ok());
   const size_t victim = 3;
   ASSERT_TRUE(dataset.RemovePoint(victim).ok());
-  cost::ParallelCandidateEvaluator fresh(CostOptions(1, false));
+  cost::ParallelCandidateEvaluator fresh(CostOptions(1));
   auto expected = fresh.SwapCostMatrix(dataset, gonzalez->centers, pool);
   auto actual = warm.SwapCostMatrix(dataset, gonzalez->centers, pool);
   ASSERT_TRUE(expected.ok()) << expected.status();

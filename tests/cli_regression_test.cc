@@ -10,6 +10,9 @@
 //     extension picks (.json = JSON, else Prometheus text).
 //   - --serve --window drives the sliding-window serving path and
 //     reports the expiry counters.
+//   - Out-of-range generator flags (negative sizes, k < 1, zero n/z/dim,
+//     negative spread) fail with an INVALID_ARGUMENT status and exit 1
+//     instead of aborting the process.
 
 #include <gtest/gtest.h>
 
@@ -28,11 +31,12 @@ namespace {
 
 struct RunResult {
   int exit_code = -1;
-  std::string output;  // stdout + stderr, interleaved.
+  std::string output;  // stdout + stderr interleaved, or stderr alone.
 };
 
-RunResult RunCli(const std::string& arguments) {
-  const std::string command = std::string(UKC_CLI_BIN) + " " + arguments + " 2>&1";
+RunResult RunCli(const std::string& arguments, bool stderr_only = false) {
+  const std::string command = std::string(UKC_CLI_BIN) + " " + arguments +
+                              (stderr_only ? " 2>&1 >/dev/null" : " 2>&1");
   RunResult result;
   FILE* pipe = popen(command.c_str(), "r");
   if (pipe == nullptr) return result;
@@ -114,6 +118,21 @@ TEST(CliRegressionTest, ServeWindowDrivesExpiryAndReportsIt) {
   // A negative window is rejected up front.
   const auto bad = RunCli("--serve --window -1");
   EXPECT_NE(bad.exit_code, 0);
+}
+
+TEST(CliRegressionTest, OutOfRangeGeneratorFlagsFailWithInvalidArgument) {
+  const char* const kBadFlags[] = {
+      "--k -1", "--n -5", "--z -1", "--dim -2",
+      "--z 0",  "--dim 0", "--spread -1",
+  };
+  for (const char* flags : kBadFlags) {
+    const auto result = RunCli(
+        std::string("--generate clustered --n 30 --z 2 --dim 2 --k 2 ") + flags,
+        /*stderr_only=*/true);
+    EXPECT_EQ(result.exit_code, 1) << flags << ": " << result.output;
+    EXPECT_NE(result.output.find("INVALID_ARGUMENT"), std::string::npos)
+        << flags << ": " << result.output;
+  }
 }
 
 }  // namespace

@@ -2,13 +2,16 @@
 //
 // The engine (cost/parallel_evaluator.h) claims two exact equivalences,
 // and this file asserts both the hard way — EXPECT_EQ on doubles, no
-// tolerance anywhere:
+// tolerance anywhere — against references the test builds itself:
 //  * incremental rollover: SwapCostMatrix with rolled-over base tables
 //    (only the entries touched by the accepted swap rebuilt) is bitwise
-//    identical to a full rebuild every round;
+//    identical to a full rebuild every round — a fresh
+//    ParallelCandidateEvaluator per round;
 //  * kd-pruned candidate scans: visiting only the locations a candidate
 //    can improve (BoundedKdTree with per-position subtree bounds) is
-//    bitwise identical to the full O(N) scan.
+//    bitwise identical to the full O(N) scan — direct
+//    UnassignedCostSwapPresorted calls on BuildSwapBase tables
+//    (swap_reference.h).
 // Both are exercised as multi-round local-search *trajectories* — the
 // accepted swap of round r feeds round r+1, so a single mismatched bit
 // anywhere compounds into diverging center sets — across dimensions
@@ -34,11 +37,13 @@
 #include "exper/instances.h"
 #include "solver/brute_force.h"
 #include "solver/gonzalez.h"
+#include "swap_reference.h"
 
 namespace ukc {
 namespace {
 
 using metric::SiteId;
+using testing_reference::ReferenceSwapCostMatrix;
 
 const int kThreadCounts[] = {1, 2, 8};
 
@@ -56,13 +61,26 @@ uncertain::UncertainDataset MakeDataset(size_t n, size_t dim, size_t z,
   return std::move(exper::MakeInstance(spec)).value();
 }
 
-cost::ParallelCandidateEvaluator::Options EvaluatorOptions(int threads,
-                                                           bool fast) {
+cost::ParallelCandidateEvaluator::Options EvaluatorOptions(int threads) {
   cost::ParallelCandidateEvaluator::Options options;
   options.threads = threads;
-  options.incremental_rollover = fast;
-  options.kd_prune = fast;
   return options;
+}
+
+// Scores one round on a fresh evaluator and checks it against the
+// direct full-scan reference: the full-rebuild tables every later
+// round of a rolled-over trajectory must reproduce.
+std::vector<double> FullRebuildRound(const uncertain::UncertainDataset& dataset,
+                                     const std::vector<SiteId>& centers,
+                                     const std::vector<SiteId>& pool,
+                                     int threads) {
+  cost::ParallelCandidateEvaluator fresh(EvaluatorOptions(threads));
+  auto values = fresh.SwapCostMatrix(dataset, centers, pool);
+  EXPECT_TRUE(values.ok()) << values.status();
+  if (!values.ok()) return {};
+  EXPECT_EQ(*values, ReferenceSwapCostMatrix(dataset, centers, pool))
+      << "fresh evaluator vs full O(N) scan, threads=" << threads;
+  return *values;
 }
 
 // Applies the deterministic round step shared by every trajectory below:
@@ -91,9 +109,9 @@ void ApplyBestSwap(const std::vector<double>& values,
 
 // The core property: for a ≥3-accepted-swap trajectory, the incremental
 // engine (rollover + kd pruning) and the full-rebuild/full-scan
-// reference produce bitwise-identical swap matrices at every round and
-// every thread count — and the fast path is additionally bitwise
-// invariant across thread counts.
+// references produce bitwise-identical swap matrices at every round and
+// every thread count — and the engine is additionally bitwise invariant
+// across thread counts.
 TEST(IncrementalSweepTest, TrajectoriesMatchFullRebuildBitwise) {
   constexpr size_t kRounds = 4;
   struct Shape {
@@ -114,23 +132,20 @@ TEST(IncrementalSweepTest, TrajectoriesMatchFullRebuildBitwise) {
         pool.push_back(sites[(i * 131) % sites.size()]);
       }
 
-      // Per-round matrices of the threads=1 fast run, the cross-thread
+      // Per-round matrices of the threads=1 run, the cross-thread
       // reference.
       std::vector<std::vector<double>> fast_rounds;
       for (int threads : kThreadCounts) {
-        cost::ParallelCandidateEvaluator reference(
-            EvaluatorOptions(threads, /*fast=*/false));
-        cost::ParallelCandidateEvaluator fast(
-            EvaluatorOptions(threads, /*fast=*/true));
+        cost::ParallelCandidateEvaluator fast(EvaluatorOptions(threads));
         std::vector<SiteId> centers = gonzalez->centers;
         for (size_t round = 0; round < kRounds; ++round) {
-          auto expected = reference.SwapCostMatrix(dataset, centers, pool);
+          const auto expected =
+              FullRebuildRound(dataset, centers, pool, threads);
           auto actual = fast.SwapCostMatrix(dataset, centers, pool);
-          ASSERT_TRUE(expected.ok()) << expected.status();
           ASSERT_TRUE(actual.ok()) << actual.status();
-          ASSERT_EQ(actual->size(), expected->size());
-          for (size_t v = 0; v < expected->size(); ++v) {
-            ASSERT_EQ((*actual)[v], (*expected)[v])
+          ASSERT_EQ(actual->size(), expected.size());
+          for (size_t v = 0; v < expected.size(); ++v) {
+            ASSERT_EQ((*actual)[v], expected[v])
                 << "dim=" << dim << " k=" << shape.k << " z=" << shape.z
                 << " threads=" << threads << " round=" << round
                 << " swap=" << v;
@@ -150,9 +165,9 @@ TEST(IncrementalSweepTest, TrajectoriesMatchFullRebuildBitwise) {
   }
 }
 
-// Non-Euclidean spaces have no coordinate arena: the engine must fall
-// back to the full rebuild + full scan and still agree with the
-// explicit reference configuration.
+// Non-Euclidean spaces have no coordinate arena: the engine falls back
+// to the full rebuild + full scan every call and must still agree with
+// the references.
 TEST(IncrementalSweepTest, NonEuclideanMatchesReference) {
   const auto dataset =
       MakeDataset(40, 2, 3, 7, exper::Family::kGridGraph);
@@ -161,15 +176,13 @@ TEST(IncrementalSweepTest, NonEuclideanMatchesReference) {
   ASSERT_TRUE(gonzalez.ok());
   std::vector<SiteId> pool(sites.begin(),
                            sites.begin() + std::min<size_t>(8, sites.size()));
-  cost::ParallelCandidateEvaluator reference(EvaluatorOptions(1, false));
-  cost::ParallelCandidateEvaluator fast(EvaluatorOptions(1, true));
+  cost::ParallelCandidateEvaluator fast(EvaluatorOptions(1));
   std::vector<SiteId> centers = gonzalez->centers;
   for (size_t round = 0; round < 3; ++round) {
-    auto expected = reference.SwapCostMatrix(dataset, centers, pool);
+    const auto expected = FullRebuildRound(dataset, centers, pool, 1);
     auto actual = fast.SwapCostMatrix(dataset, centers, pool);
-    ASSERT_TRUE(expected.ok()) << expected.status();
     ASSERT_TRUE(actual.ok()) << actual.status();
-    ASSERT_EQ(*actual, *expected) << "round=" << round;
+    ASSERT_EQ(*actual, expected) << "round=" << round;
     ApplyBestSwap(*actual, pool, &centers);
   }
 }
@@ -179,7 +192,7 @@ TEST(IncrementalSweepTest, NonEuclideanMatchesReference) {
 // fresh evaluator gives on B — the content fingerprint, not object
 // identity, gates the rollover.
 TEST(IncrementalSweepTest, DatasetChangeInvalidatesRolledTables) {
-  cost::ParallelCandidateEvaluator shared(EvaluatorOptions(1, true));
+  cost::ParallelCandidateEvaluator shared(EvaluatorOptions(1));
   std::vector<double> fresh_values;
   for (uint64_t seed : {500u, 501u}) {
     const auto dataset = MakeDataset(50, 2, 3, seed);
@@ -190,7 +203,7 @@ TEST(IncrementalSweepTest, DatasetChangeInvalidatesRolledTables) {
                              sites.begin() + std::min<size_t>(10, sites.size()));
     auto shared_result =
         shared.SwapCostMatrix(dataset, gonzalez->centers, pool);
-    cost::ParallelCandidateEvaluator fresh(EvaluatorOptions(1, true));
+    cost::ParallelCandidateEvaluator fresh(EvaluatorOptions(1));
     auto fresh_result = fresh.SwapCostMatrix(dataset, gonzalez->centers, pool);
     ASSERT_TRUE(shared_result.ok()) << shared_result.status();
     ASSERT_TRUE(fresh_result.ok()) << fresh_result.status();
@@ -198,36 +211,69 @@ TEST(IncrementalSweepTest, DatasetChangeInvalidatesRolledTables) {
   }
 }
 
-// The full consumer: LocalSearchUnassigned through the incremental
-// engine versus the reference paths — identical trajectory (centers,
-// cost, swap count) at every thread count.
-TEST(IncrementalSweepTest, LocalSearchTrajectoryMatchesReferencePaths) {
-  std::vector<SiteId> reference_centers;
-  double reference_cost = 0.0;
+// The full consumer: LocalSearchUnassigned (tables rolled over and
+// kd-pruned across rounds) versus the same search spelled out with a
+// fresh evaluator per round — identical trajectory (centers, cost, swap
+// count) at every thread count.
+TEST(IncrementalSweepTest, LocalSearchTrajectoryMatchesFreshEvaluatorRounds) {
+  constexpr size_t kK = 3;
+  constexpr size_t kMaxSwaps = 10;
+  // Reference: LocalSearchUnassigned's seed, candidate pool and
+  // acceptance rule, with every round scored from scratch.
+  auto reference_dataset = MakeDataset(60, 2, 3, 19);
+  core::UncertainKCenterOptions pipeline;
+  pipeline.k = kK;
+  auto seed = core::SolveUncertainKCenter(&reference_dataset, pipeline);
+  ASSERT_TRUE(seed.ok()) << seed.status();
+  std::vector<SiteId> pool = reference_dataset.LocationSites();
+  pool.insert(pool.end(), seed->surrogates.begin(), seed->surrogates.end());
+  std::sort(pool.begin(), pool.end());
+  pool.erase(std::unique(pool.begin(), pool.end()), pool.end());
+  std::vector<SiteId> reference_centers = seed->centers;
+  cost::ExpectedCostEvaluator::Options scalar_options;
+  scalar_options.kdtree_cutover = std::numeric_limits<size_t>::max();
+  cost::ExpectedCostEvaluator scalar(scalar_options);
+  double reference_cost =
+      *scalar.UnassignedCost(reference_dataset, reference_centers);
   size_t reference_swaps = 0;
-  bool have_reference = false;
-  for (int threads : kThreadCounts) {
-    for (bool reference_paths : {true, false}) {
-      auto dataset = MakeDataset(60, 2, 3, 19);
-      core::UnassignedSearchOptions options;
-      options.k = 3;
-      options.max_swaps = 10;
-      options.threads = threads;
-      options.reference_swap_paths = reference_paths;
-      auto solution = core::LocalSearchUnassigned(&dataset, options);
-      ASSERT_TRUE(solution.ok()) << solution.status();
-      if (!have_reference) {
-        reference_centers = solution->centers;
-        reference_cost = solution->expected_cost;
-        reference_swaps = solution->swaps;
-        have_reference = true;
-        continue;
+  while (reference_swaps < kMaxSwaps) {
+    const auto values =
+        FullRebuildRound(reference_dataset, reference_centers, pool, 1);
+    double best_value = reference_cost;
+    size_t best_position = 0;
+    SiteId best_replacement = metric::kInvalidSite;
+    for (size_t p = 0; p < kK; ++p) {
+      for (size_t c = 0; c < pool.size(); ++c) {
+        if (pool[c] == reference_centers[p]) continue;
+        if (values[p * pool.size() + c] < best_value) {
+          best_value = values[p * pool.size() + c];
+          best_position = p;
+          best_replacement = pool[c];
+        }
       }
-      EXPECT_EQ(solution->centers, reference_centers)
-          << "threads=" << threads << " reference=" << reference_paths;
-      EXPECT_EQ(solution->expected_cost, reference_cost);
-      EXPECT_EQ(solution->swaps, reference_swaps);
     }
+    if (best_replacement == metric::kInvalidSite ||
+        reference_cost - best_value <
+            1e-12 * std::max(1.0, reference_cost)) {
+      break;
+    }
+    reference_centers[best_position] = best_replacement;
+    reference_cost = best_value;
+    ++reference_swaps;
+  }
+  ASSERT_GE(reference_swaps, 2u) << "the instance no longer exercises rollover";
+
+  for (int threads : kThreadCounts) {
+    auto dataset = MakeDataset(60, 2, 3, 19);
+    core::UnassignedSearchOptions options;
+    options.k = kK;
+    options.max_swaps = kMaxSwaps;
+    options.threads = threads;
+    auto solution = core::LocalSearchUnassigned(&dataset, options);
+    ASSERT_TRUE(solution.ok()) << solution.status();
+    EXPECT_EQ(solution->centers, reference_centers) << "threads=" << threads;
+    EXPECT_EQ(solution->expected_cost, reference_cost) << "threads=" << threads;
+    EXPECT_EQ(solution->swaps, reference_swaps) << "threads=" << threads;
   }
 }
 
