@@ -580,30 +580,35 @@ BENCHMARK(BM_SwapLadderCompact)->Arg(100000)->Unit(benchmark::kMillisecond);
 // index) that is generated on the fly: nothing of size n is ever
 // resident, so the stream benches exercise the true out-of-core path
 // at n = 10^6 without an O(n) setup allocation.
-stream::BatchSourceFactory SyntheticStreamFactory(size_t n, size_t chunk_size,
-                                                  uint64_t seed = 977) {
-  return [n, chunk_size, seed]() -> Result<stream::BatchSource> {
+stream::ResumableSourceFactory SyntheticStreamFactory(size_t n,
+                                                      size_t chunk_size,
+                                                      uint64_t seed = 977) {
+  return [n, chunk_size, seed](const stream::ResumePoint*,
+                               bool*) -> Result<stream::ResumableSource> {
     auto index = std::make_shared<size_t>(0);
-    return stream::MakeProducerBatchSource(
-        2,
-        [n, seed, index](std::vector<double>* coords,
-                         std::vector<double>* probabilities) {
-          if (*index >= n) return false;
-          Rng point_rng = Rng(seed).Fork(*index);
-          const size_t cluster = *index % 8;
-          const double cx = 10.0 * static_cast<double>(cluster % 4);
-          const double cy = 10.0 * static_cast<double>(cluster / 4);
-          const double hx = cx + point_rng.Gaussian(0.0, 1.0);
-          const double hy = cy + point_rng.Gaussian(0.0, 1.0);
-          for (int l = 0; l < 4; ++l) {
-            coords->push_back(hx + point_rng.Gaussian(0.0, 0.4));
-            coords->push_back(hy + point_rng.Gaussian(0.0, 0.4));
-            probabilities->push_back(0.25);
-          }
-          ++*index;
-          return true;
-        },
-        chunk_size);
+    UKC_ASSIGN_OR_RETURN(
+        stream::BatchSource next,
+        stream::MakeProducerBatchSource(
+            2,
+            [n, seed, index](std::vector<double>* coords,
+                             std::vector<double>* probabilities) {
+              if (*index >= n) return false;
+              Rng point_rng = Rng(seed).Fork(*index);
+              const size_t cluster = *index % 8;
+              const double cx = 10.0 * static_cast<double>(cluster % 4);
+              const double cy = 10.0 * static_cast<double>(cluster / 4);
+              const double hx = cx + point_rng.Gaussian(0.0, 1.0);
+              const double hy = cy + point_rng.Gaussian(0.0, 1.0);
+              for (int l = 0; l < 4; ++l) {
+                coords->push_back(hx + point_rng.Gaussian(0.0, 0.4));
+                coords->push_back(hy + point_rng.Gaussian(0.0, 0.4));
+                probabilities->push_back(0.25);
+              }
+              ++*index;
+              return true;
+            },
+            chunk_size));
+    return stream::ResumableSource{std::move(next)};
   };
 }
 
@@ -619,9 +624,7 @@ void BM_StreamIngest(benchmark::State& state) {
   options.coreset.max_cells = 4096;
   size_t coreset_bytes = 0;
   for (auto _ : state) {
-    auto source = factory();
-    UKC_CHECK(source.ok()) << source.status();
-    auto coreset = stream::BuildCoresetFromSource(2, *source, options, &pool);
+    auto coreset = stream::IngestCoreset(2, factory, options, &pool);
     UKC_CHECK(coreset.ok()) << coreset.status();
     coreset_bytes = coreset->ApproxMemoryBytes();
     benchmark::DoNotOptimize(coreset);
@@ -644,10 +647,8 @@ void BM_CoresetMerge(benchmark::State& state) {
   // Each side is a full stream under a different seed, so the merge
   // sees two genuinely distinct cell tables.
   auto build_side = [&](uint64_t seed) {
-    auto factory = SyntheticStreamFactory(n, 8192, seed);
-    auto source = factory();
-    UKC_CHECK(source.ok()) << source.status();
-    auto coreset = stream::BuildCoresetFromSource(2, *source, options, &pool);
+    auto coreset = stream::IngestCoreset(
+        2, SyntheticStreamFactory(n, 8192, seed), options, &pool);
     UKC_CHECK(coreset.ok()) << coreset.status();
     return std::move(*coreset);
   };
@@ -698,9 +699,8 @@ stream::IngestCheckpoint CheckpointOf(size_t n) {
   stream::IngestOptions options;
   options.chunk_size = 8192;
   options.coreset.max_cells = 4096;
-  auto source = SyntheticStreamFactory(n, 8192)();
-  UKC_CHECK(source.ok()) << source.status();
-  auto coreset = stream::BuildCoresetFromSource(2, *source, options, &pool);
+  auto coreset = stream::IngestCoreset(2, SyntheticStreamFactory(n, 8192),
+                                      options, &pool);
   UKC_CHECK(coreset.ok()) << coreset.status();
   stream::IngestCheckpoint checkpoint;
   checkpoint.config_fingerprint = 0x1234;
@@ -766,8 +766,7 @@ BENCHMARK(BM_CheckpointRestore)->Arg(100000)->Arg(1000000)
 // how many pulls were actually retried per iteration.
 void BM_IngestWithFaultRetry(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
-  const auto factory =
-      stream::AdaptBatchFactory(SyntheticStreamFactory(n, 8192));
+  const auto factory = SyntheticStreamFactory(n, 8192);
   ThreadPool pool(1);
   stream::IngestOptions options;
   options.chunk_size = 8192;

@@ -20,7 +20,8 @@
 //   - a kd-tree over the current center set, cached and only rebuilt
 //     when the centers actually change;
 //   - the per-location distance table + alias samplers for Monte-Carlo
-//     estimation, with optional thread fan-out over samples.
+//     estimation (ParallelCandidateEvaluator fans out over candidate
+//     sets).
 //
 // Worked example — scoring many candidate center sets:
 //
@@ -88,12 +89,6 @@ inline constexpr size_t kDefaultKdTreeCutover = 40;
 /// thread; below it the engine's extra passes do not pay off.
 inline constexpr size_t kSegmentedSweepMinEvents = 32768;
 
-/// Options bounding the exact evaluations (BruteForceCostOptions-style).
-struct ExactCostOptions {
-  /// Centers >= this use the kd-tree path (Euclidean L2 spaces only).
-  size_t kdtree_cutover = kDefaultKdTreeCutover;
-};
-
 /// A Monte-Carlo estimate with its standard error.
 struct MonteCarloEstimate {
   double mean = 0.0;
@@ -136,9 +131,6 @@ class ExpectedCostEvaluator {
   struct Options {
     /// Centers >= this use the kd-tree path (Euclidean L2 spaces only).
     size_t kdtree_cutover = kDefaultKdTreeCutover;
-    /// Threads fanning out over Monte-Carlo samples; 1 = sequential
-    /// (and bit-identical to the historical estimator).
-    int monte_carlo_threads = 1;
     /// Borrowed pool fanning out the segmented exact-sweep engine
     /// (parallel radix sort + per-variable CDF trajectories + ordered
     /// serial combine), which is bitwise identical to the serial scan

@@ -51,8 +51,7 @@ ParallelCandidateEvaluator::ParallelCandidateEvaluator()
 ParallelCandidateEvaluator::ParallelCandidateEvaluator(Options options)
     : options_(options), pool_(options.pool, options.threads) {
   ExpectedCostEvaluator::Options worker_options = options_.evaluator;
-  worker_options.monte_carlo_threads = 1;  // The pool is the only fan-out.
-  worker_options.sweep_pool = nullptr;     // Workers run inside pool jobs.
+  worker_options.sweep_pool = nullptr;  // Workers run inside pool jobs.
   evaluators_ = std::vector<ExpectedCostEvaluator>(pool_->num_threads());
   for (ExpectedCostEvaluator& evaluator : evaluators_) {
     evaluator.set_options(worker_options);

@@ -77,9 +77,9 @@ class ParallelCandidateEvaluator {
     /// no private pool is constructed (see ScopedPool). The evaluator
     /// sizes one worker evaluator per pool thread.
     ThreadPool* pool = nullptr;
-    /// Per-worker evaluator configuration. monte_carlo_threads is
-    /// forced to 1 and sweep_pool is forced null for the workers (a
-    /// pool must not be re-entered from inside its own jobs).
+    /// Per-worker evaluator configuration. sweep_pool is forced null
+    /// for the workers (a pool must not be re-entered from inside its
+    /// own jobs).
     ExpectedCostEvaluator::Options evaluator;
   };
 

@@ -105,23 +105,6 @@ Result<BatchSource> MakeDatasetBatchSource(
   });
 }
 
-Result<BatchSource> MakeFileBatchSource(const std::string& path,
-                                        size_t chunk_size) {
-  if (chunk_size == 0) {
-    return Status::InvalidArgument("MakeFileBatchSource: chunk_size >= 1");
-  }
-  UKC_ASSIGN_OR_RETURN(uncertain::DatasetReader reader,
-                       uncertain::DatasetReader::Open(path));
-  auto shared = std::make_shared<uncertain::DatasetReader>(std::move(reader));
-  return BatchSource(
-      [shared, chunk_size](uncertain::UncertainPointBatch* batch)
-          -> Result<bool> {
-        UKC_ASSIGN_OR_RETURN(size_t produced,
-                             shared->ReadChunk(chunk_size, batch));
-        return produced > 0;
-      });
-}
-
 Result<BatchSource> MakeProducerBatchSource(size_t dim, PointProducer next,
                                             size_t chunk_size,
                                             metric::Norm norm) {
@@ -186,60 +169,6 @@ Result<BatchSource> MakeProducerBatchSource(size_t dim, PointProducer next,
   });
 }
 
-BatchSourceFactory DatasetBatchFactory(const uncertain::UncertainDataset* dataset,
-                                       size_t chunk_size) {
-  return [dataset, chunk_size]() -> Result<BatchSource> {
-    return MakeDatasetBatchSource(dataset, chunk_size);
-  };
-}
-
-BatchSourceFactory FileBatchFactory(const std::string& path, size_t chunk_size) {
-  return [path, chunk_size]() -> Result<BatchSource> {
-    return MakeFileBatchSource(path, chunk_size);
-  };
-}
-
-BatchSourceFactory SeededFileBatchFactory(uncertain::DatasetReader&& probe,
-                                          const std::string& path,
-                                          size_t chunk_size) {
-  auto seeded =
-      std::make_shared<uncertain::DatasetReader>(std::move(probe));
-  auto used = std::make_shared<bool>(false);
-  return [seeded, used, path, chunk_size]() -> Result<BatchSource> {
-    if (chunk_size == 0) {
-      return Status::InvalidArgument("SeededFileBatchFactory: chunk_size >= 1");
-    }
-    if (!*used) {
-      // Pass 1 consumes the probe reader — its header is already
-      // parsed, so the file is opened and header-scanned exactly once
-      // for probe + first pass combined.
-      *used = true;
-      return BatchSource(
-          [seeded, chunk_size](uncertain::UncertainPointBatch* batch)
-              -> Result<bool> {
-            UKC_ASSIGN_OR_RETURN(size_t produced,
-                                 seeded->ReadChunk(chunk_size, batch));
-            return produced > 0;
-          });
-    }
-    return MakeFileBatchSource(path, chunk_size);
-  };
-}
-
-ResumableSourceFactory AdaptBatchFactory(BatchSourceFactory factory) {
-  return [factory](const ResumePoint*,
-                   bool* positioned) -> Result<ResumableSource> {
-    if (positioned != nullptr) *positioned = false;
-    if (factory == nullptr) {
-      return Status::InvalidArgument("AdaptBatchFactory: null factory");
-    }
-    UKC_ASSIGN_OR_RETURN(BatchSource next, factory());
-    ResumableSource source;
-    source.next = std::move(next);
-    return source;
-  };
-}
-
 namespace {
 
 // Hash of the up-to-kCursorWindowBytes bytes of `path` that END at
@@ -260,36 +189,6 @@ std::optional<uint64_t> HashFileWindow(const std::string& path,
   return HashBytes(kHashSeed, bytes.data(), bytes.size());
 }
 
-// True when the checkpointed cursor still matches the file: the bytes
-// before the offset hash to what the checkpoint recorded.
-bool CursorWindowMatches(const std::string& path, const ResumePoint& resume) {
-  const std::optional<uint64_t> hash =
-      HashFileWindow(path, resume.byte_offset);
-  return hash.has_value() && *hash == resume.window_hash;
-}
-
-// File streams share one reader between the pull and the position
-// probe; both are only ever called from the single reading thread.
-ResumableSource SourceFromSharedReader(
-    std::shared_ptr<uncertain::DatasetReader> reader, std::string path,
-    size_t chunk_size) {
-  ResumableSource source;
-  source.next = [reader, chunk_size](uncertain::UncertainPointBatch* batch)
-      -> Result<bool> {
-    UKC_ASSIGN_OR_RETURN(size_t produced, reader->ReadChunk(chunk_size, batch));
-    return produced > 0;
-  };
-  source.tell = [reader,
-                 path = std::move(path)]() -> std::optional<SourceCursor> {
-    const std::optional<uint64_t> offset = reader->TellByteOffset();
-    if (!offset.has_value()) return std::nullopt;
-    const std::optional<uint64_t> hash = HashFileWindow(path, *offset);
-    if (!hash.has_value()) return std::nullopt;
-    return SourceCursor{*offset, *hash};
-  };
-  return source;
-}
-
 }  // namespace
 
 ResumableSourceFactory ResumableFileFactory(const std::string& path,
@@ -304,7 +203,9 @@ ResumableSourceFactory ResumableFileFactory(const std::string& path,
                          uncertain::DatasetReader::Open(path));
     auto shared = std::make_shared<uncertain::DatasetReader>(std::move(reader));
     if (resume != nullptr && resume->has_byte_offset) {
-      if (CursorWindowMatches(path, *resume) &&
+      // The cursor is trusted only while the bytes before the offset
+      // still hash to what the checkpoint recorded.
+      if (HashFileWindow(path, resume->byte_offset) == resume->window_hash &&
           shared->SeekTo(resume->byte_offset, resume->points).ok()) {
         if (positioned != nullptr) *positioned = true;
       } else {
@@ -316,38 +217,41 @@ ResumableSourceFactory ResumableFileFactory(const std::string& path,
         *shared = std::move(fresh);
       }
     }
-    return SourceFromSharedReader(std::move(shared), path, chunk_size);
+    // The pull and the position probe share the reader; both are only
+    // ever called from the single reading thread.
+    ResumableSource source;
+    source.next = [shared, chunk_size](uncertain::UncertainPointBatch* batch)
+        -> Result<bool> {
+      UKC_ASSIGN_OR_RETURN(size_t produced,
+                           shared->ReadChunk(chunk_size, batch));
+      return produced > 0;
+    };
+    source.tell = [shared, path]() -> std::optional<SourceCursor> {
+      const std::optional<uint64_t> offset = shared->TellByteOffset();
+      if (!offset.has_value()) return std::nullopt;
+      const std::optional<uint64_t> hash = HashFileWindow(path, *offset);
+      if (!hash.has_value()) return std::nullopt;
+      return SourceCursor{*offset, *hash};
+    };
+    return source;
   };
 }
 
-ResumableSourceFactory ResumableSeededFileFactory(
-    uncertain::DatasetReader&& probe, const std::string& path,
-    size_t chunk_size) {
-  auto seeded = std::make_shared<uncertain::DatasetReader>(std::move(probe));
-  auto used = std::make_shared<bool>(false);
-  const ResumableSourceFactory reopen = ResumableFileFactory(path, chunk_size);
-  return [seeded, used, reopen, path, chunk_size](
-             const ResumePoint* resume,
-             bool* positioned) -> Result<ResumableSource> {
-    if (*used || chunk_size == 0) return reopen(resume, positioned);
-    *used = true;
-    if (positioned != nullptr) *positioned = false;
-    if (resume != nullptr && resume->has_byte_offset) {
-      if (CursorWindowMatches(path, *resume) &&
-          seeded->SeekTo(resume->byte_offset, resume->points).ok()) {
-        if (positioned != nullptr) *positioned = true;
-        return SourceFromSharedReader(seeded, path, chunk_size);
-      }
-      // The probe is now mispositioned; reopen from the start.
-      return reopen(nullptr, positioned);
-    }
-    return SourceFromSharedReader(seeded, path, chunk_size);
-  };
+RetryOptions IngestRetryOptions(const IngestOptions& options) {
+  RetryOptions retry = options.retry;
+  if (retry.metrics_site == "default") retry.metrics_site = "ingest.read";
+  if (retry.metrics == nullptr) retry.metrics = options.metrics;
+  return retry;
 }
 
 ResumableSourceFactory ResumableDatasetFactory(
     const uncertain::UncertainDataset* dataset, size_t chunk_size) {
-  return AdaptBatchFactory(DatasetBatchFactory(dataset, chunk_size));
+  return [dataset, chunk_size](const ResumePoint*,
+                               bool*) -> Result<ResumableSource> {
+    UKC_ASSIGN_OR_RETURN(BatchSource next,
+                         MakeDatasetBatchSource(dataset, chunk_size));
+    return ResumableSource{std::move(next)};
+  };
 }
 
 namespace {
@@ -427,16 +331,6 @@ IngestMetrics ResolveIngestMetrics(const IngestOptions& options) {
       m.GetCounter(saves, saves_help, {{"outcome", "failed"}})};
 }
 
-// The caller's retry policy with the observability site applied:
-// retry counters land under site="ingest.read" (unless the caller
-// chose a site) and meter into the run's registry.
-RetryOptions IngestRetryOptions(const IngestOptions& options) {
-  RetryOptions retry = options.retry;
-  if (retry.metrics_site == "default") retry.metrics_site = "ingest.read";
-  if (retry.metrics == nullptr) retry.metrics = options.metrics;
-  return retry;
-}
-
 // One retry-wrapped, fault-injectable batch pull. Transient failures
 // (kUnavailable — today only injected ones) are retried per
 // options.retry; the fault point sits inside the retried op so an
@@ -469,9 +363,8 @@ struct ResumeState {
   uint64_t config_fingerprint = 0;
 };
 
-// The sharded group loop shared by BuildCoresetFromSource and
-// IngestCoreset. `counters` arrives pre-loaded with the restored
-// prefix's totals when resuming.
+// The sharded group loop of IngestCoreset. `counters` arrives
+// pre-loaded with the restored prefix's totals when resuming.
 Result<StreamingCoreset> RunIngest(size_t dim, const ResumableSource& source,
                                    const IngestOptions& options, size_t shards,
                                    ThreadPool* pool, IngestStats& counters,
@@ -549,7 +442,7 @@ Result<StreamingCoreset> RunIngest(size_t dim, const ResumableSource& source,
         norm_latched = true;
       } else if (group.batches[g].norm != stream_norm) {
         return Status::InvalidArgument(
-            "BuildCoresetFromSource: batch norm changed mid-stream");
+            "IngestCoreset: batch norm changed mid-stream");
       }
       // The content fingerprint is maintained only when a checkpoint
       // could be written — the hashing cost must not tax
@@ -711,7 +604,7 @@ Result<StreamingCoreset> RunIngest(size_t dim, const ResumableSource& source,
     // A resume that landed exactly at the end of the stream: the
     // checkpoint already holds the whole coreset.
     if (resume.restored.has_value()) return std::move(*resume.restored);
-    return Status::InvalidArgument("BuildCoresetFromSource: empty stream");
+    return Status::InvalidArgument("IngestCoreset: empty stream");
   }
 
   // Ordered binary merge tree: at stride s, shard i absorbs shard i+s
@@ -735,9 +628,15 @@ Result<StreamingCoreset> RunIngest(size_t dim, const ResumableSource& source,
   return std::move(shard_sets[0]);
 }
 
-// Shared argument validation of the two public entry points.
-Status ValidateIngestArguments(size_t dim, const IngestOptions& options,
-                               ThreadPool* pool) {
+}  // namespace
+
+Result<StreamingCoreset> IngestCoreset(size_t dim,
+                                       const ResumableSourceFactory& factory,
+                                       const IngestOptions& options,
+                                       ThreadPool* pool, IngestStats* stats) {
+  if (factory == nullptr) {
+    return Status::InvalidArgument("IngestCoreset: null factory");
+  }
   if (pool == nullptr) {
     return Status::InvalidArgument("ingest: null pool");
   }
@@ -749,49 +648,9 @@ Status ValidateIngestArguments(size_t dim, const IngestOptions& options,
   if (options.retry.max_attempts < 1) {
     return Status::InvalidArgument("ingest: retry.max_attempts must be >= 1");
   }
-  return Status::OK();
-}
-
-size_t EffectiveShards(const IngestOptions& options, ThreadPool* pool) {
-  return options.shards <= 0 ? static_cast<size_t>(pool->num_threads())
-                             : static_cast<size_t>(options.shards);
-}
-
-}  // namespace
-
-Result<StreamingCoreset> BuildCoresetFromSource(size_t dim,
-                                                const BatchSource& source,
-                                                const IngestOptions& options,
-                                                ThreadPool* pool,
-                                                IngestStats* stats) {
-  if (source == nullptr) {
-    return Status::InvalidArgument("BuildCoresetFromSource: null source");
-  }
-  UKC_RETURN_IF_ERROR(ValidateIngestArguments(dim, options, pool));
-  if (!options.checkpoint.path.empty()) {
-    return Status::InvalidArgument(
-        "BuildCoresetFromSource: checkpointing requires a re-startable "
-        "stream — use IngestCoreset with a ResumableSourceFactory");
-  }
-  const size_t shards = EffectiveShards(options, pool);
-  IngestStats counters;
-  ResumableSource resumable;
-  resumable.next = source;
-  Result<StreamingCoreset> result = RunIngest(dim, resumable, options, shards,
-                                              pool, counters, ResumeState{});
-  if (stats != nullptr) *stats = counters;
-  return result;
-}
-
-Result<StreamingCoreset> IngestCoreset(size_t dim,
-                                       const ResumableSourceFactory& factory,
-                                       const IngestOptions& options,
-                                       ThreadPool* pool, IngestStats* stats) {
-  if (factory == nullptr) {
-    return Status::InvalidArgument("IngestCoreset: null factory");
-  }
-  UKC_RETURN_IF_ERROR(ValidateIngestArguments(dim, options, pool));
-  const size_t shards = EffectiveShards(options, pool);
+  const size_t shards = options.shards <= 0
+                            ? static_cast<size_t>(pool->num_threads())
+                            : static_cast<size_t>(options.shards);
   const bool checkpointing = !options.checkpoint.path.empty();
 
   IngestStats counters;

@@ -1,7 +1,10 @@
 // Chunked ingestion: turns a stream of uncertain points — an in-memory
 // dataset, a dataset file (uncertain/io.h DatasetReader), or any
 // caller-supplied producer — into a StreamingCoreset without ever
-// holding more than shards · chunk_size points in memory.
+// holding more than shards · chunk_size points in memory. Every stream
+// reaches the layer the same way: a ResumableSourceFactory that opens
+// a fresh pass on each call, consumed by the one entry point
+// IngestCoreset.
 //
 // Sharding discipline: batches are read serially (I/O is the one
 // serial resource), collected into groups of at most `shards` batches,
@@ -47,21 +50,11 @@ namespace stream {
 using BatchSource =
     std::function<Result<bool>(uncertain::UncertainPointBatch* batch)>;
 
-/// Re-startable stream: every call opens an independent pass over the
-/// same data from the beginning (the streaming pipeline reads the data
-/// twice — coreset build, then verification).
-using BatchSourceFactory = std::function<Result<BatchSource>()>;
-
 /// Chunks an in-memory dataset (Euclidean only; coordinates are
 /// gathered out of the space's arena). The dataset must outlive the
 /// source.
 Result<BatchSource> MakeDatasetBatchSource(
     const uncertain::UncertainDataset* dataset, size_t chunk_size);
-
-/// Streams a dataset file via uncertain::DatasetReader; one chunk of
-/// the file is resident at a time.
-Result<BatchSource> MakeFileBatchSource(const std::string& path,
-                                        size_t chunk_size);
 
 /// Adapts a per-point callback producer: `next` appends one point's
 /// locations (dim doubles per location into *coords, one probability
@@ -75,21 +68,6 @@ using PointProducer = std::function<bool(std::vector<double>* coords,
 Result<BatchSource> MakeProducerBatchSource(size_t dim, PointProducer next,
                                             size_t chunk_size,
                                             metric::Norm norm = metric::Norm::kL2);
-
-/// Factory conveniences for the two re-startable stream kinds.
-BatchSourceFactory DatasetBatchFactory(const uncertain::UncertainDataset* dataset,
-                                       size_t chunk_size);
-BatchSourceFactory FileBatchFactory(const std::string& path, size_t chunk_size);
-
-/// FileBatchFactory that hands an already-open reader to its FIRST
-/// source: callers that probe the header up front (SolveFile reads the
-/// dimension before building its pipeline) seed pass 1 with the probe
-/// reader instead of reopening and re-parsing the header; passes after
-/// the first reopen `path` as usual. The probe must be freshly opened
-/// (no chunks consumed).
-BatchSourceFactory SeededFileBatchFactory(uncertain::DatasetReader&& probe,
-                                          const std::string& path,
-                                          size_t chunk_size);
 
 /// Bytes hashed into SourceCursor::window_hash: the window of the file
 /// immediately preceding the cursor's byte offset (shorter when the
@@ -134,24 +112,23 @@ struct ResumableSource {
 };
 
 /// Factory of re-startable, optionally repositionable streams — the
-/// input of the checkpoint-aware IngestCoreset. Called with `resume ==
-/// nullptr` it opens the stream from the beginning (like
-/// BatchSourceFactory). Called with a ResumePoint it MAY position the
+/// one stream input of IngestCoreset and the streaming pipeline. Every
+/// call opens an independent pass over the same data: the pipeline
+/// calls it once for the coreset build and once more for
+/// verification. Called with `resume == nullptr` it opens the stream
+/// from the beginning. Called with a ResumePoint it MAY position the
 /// stream so the next pull yields batch `resume->batches`, setting
 /// *positioned = true; a factory that cannot (or whose positioning
 /// attempt fails against a stale cursor) returns a from-the-start
-/// stream with *positioned = false, and the ingest layer replays the
-/// prefix, verifying its content fingerprint batch by batch. Either
-/// way the factory must tolerate being invoked again (a rejected
-/// resume falls back to a fresh full pass).
+/// stream and leaves *positioned false (callers initialize it), and
+/// the ingest layer replays the prefix, verifying its content
+/// fingerprint batch by batch. Either way the factory must tolerate
+/// being invoked again (a rejected resume falls back to a fresh full
+/// pass). A factory that never positions — a producer, an in-memory
+/// dataset — can ignore both arguments and return
+/// `ResumableSource{next}`.
 using ResumableSourceFactory = std::function<Result<ResumableSource>(
     const ResumePoint* resume, bool* positioned)>;
-
-/// Wraps a plain BatchSourceFactory: never positioned, no tell —
-/// resumes go through the replay-and-verify path. (For in-memory
-/// datasets the replay is a cheap re-chunk, and hashing the prefix
-/// guards against resuming against different data.)
-ResumableSourceFactory AdaptBatchFactory(BatchSourceFactory factory);
 
 /// Resumable factory over a dataset file. Resume positions the reader
 /// with DatasetReader::SeekTo (one seek instead of re-parsing the
@@ -160,24 +137,20 @@ ResumableSourceFactory AdaptBatchFactory(BatchSourceFactory factory);
 ResumableSourceFactory ResumableFileFactory(const std::string& path,
                                             size_t chunk_size);
 
-/// ResumableFileFactory variant seeded with a freshly-opened probe
-/// reader (see SeededFileBatchFactory): the first stream consumes the
-/// probe — seeking it when that first call is a resume — and later
-/// calls reopen `path`.
-ResumableSourceFactory ResumableSeededFileFactory(
-    uncertain::DatasetReader&& probe, const std::string& path,
-    size_t chunk_size);
-
-/// Resumable factory over an in-memory dataset (replay path; see
-/// AdaptBatchFactory).
+/// Resumable factory over an in-memory dataset: every call re-chunks
+/// the dataset from the start (MakeDatasetBatchSource), never
+/// positioned and without a tell, so resumes go through the
+/// replay-and-verify path — a cheap re-chunk here, and hashing the
+/// prefix guards against resuming against different data.
 ResumableSourceFactory ResumableDatasetFactory(
     const uncertain::UncertainDataset* dataset, size_t chunk_size);
 
 /// Configuration of the sharded coreset build.
 struct IngestOptions {
-  /// Points per batch. Consumed by the Make*BatchSource factories (and
-  /// the pipeline, which builds sources from it); BuildCoresetFromSource
-  /// itself takes whatever batch size its source emits.
+  /// Points per batch. The pipeline builds its sources from it;
+  /// IngestCoreset itself takes whatever batch size its source emits
+  /// (chunk_size only enters the checkpoint's configuration
+  /// fingerprint).
   size_t chunk_size = 4096;
   /// Shard coresets built concurrently; <= 0 = the pool's thread count.
   int shards = 0;
@@ -187,10 +160,9 @@ struct IngestOptions {
   /// failed pull for the retry to be sound — every source in this
   /// repo satisfies that.
   RetryOptions retry;
-  /// Crash-consistent checkpointing (stream/checkpoint.h). Only the
-  /// factory-based IngestCoreset honors it — resuming and falling back
-  /// require re-opening the stream, which a bare BatchSource cannot do
-  /// — so BuildCoresetFromSource rejects a non-empty path.
+  /// Crash-consistent checkpointing (stream/checkpoint.h); an empty
+  /// path disables it. Resuming and falling back re-open the stream
+  /// through the factory.
   CheckpointOptions checkpoint;
   /// Registry the ingest telemetry meters into (null = the process-wide
   /// obs::MetricsRegistry::Default()): stage timers
@@ -202,6 +174,12 @@ struct IngestOptions {
   /// bitwise-determinism guarantee is untouched.
   obs::MetricsRegistry* metrics = nullptr;
 };
+
+/// options.retry with the observability site applied: retry counters
+/// land under site="ingest.read" (unless the caller chose a site) and
+/// meter into options.metrics. Every pull of a run uses it — the
+/// ingest pass and the pipeline's verification pass alike.
+RetryOptions IngestRetryOptions(const IngestOptions& options);
 
 /// Counters of one ingestion run. When a run resumes from a
 /// checkpoint, points/locations/batches include the restored prefix —
@@ -227,24 +205,16 @@ struct IngestStats {
   uint64_t replayed_batches = 0;
 };
 
-/// Drains `source` through shard coresets on `pool` and reduces them
-/// into the returned coreset. The result is bitwise identical for
-/// every (pool size, shards, chunk_size) configuration.
-Result<StreamingCoreset> BuildCoresetFromSource(size_t dim,
-                                                const BatchSource& source,
-                                                const IngestOptions& options,
-                                                ThreadPool* pool,
-                                                IngestStats* stats = nullptr);
-
-/// The checkpoint-aware ingestion entry point: BuildCoresetFromSource
-/// semantics (same sharding, same bitwise-deterministic result) over a
-/// re-startable stream. With options.checkpoint.path set, the run
-/// first tries to restore — validating checksum, configuration
-/// fingerprint and stream position, and degrading to a full re-ingest
-/// on ANY mismatch — then saves a checkpoint every every_n_batches
-/// batches (rounded to whole groups). A restored-and-resumed run
-/// produces the bitwise-identical coreset an uninterrupted run would
-/// have produced.
+/// The ingestion entry point: opens a pass through `factory`, drains
+/// it through shard coresets on `pool` and reduces them into the
+/// returned coreset. The result is bitwise identical for every (pool
+/// size, shards, chunk_size) configuration. With
+/// options.checkpoint.path set, the run first tries to restore —
+/// validating checksum, configuration fingerprint and stream position,
+/// and degrading to a full re-ingest on ANY mismatch — then saves a
+/// checkpoint every every_n_batches batches (rounded to whole groups).
+/// A restored-and-resumed run produces the bitwise-identical coreset
+/// an uninterrupted run would have produced.
 Result<StreamingCoreset> IngestCoreset(size_t dim,
                                        const ResumableSourceFactory& factory,
                                        const IngestOptions& options,

@@ -6,9 +6,11 @@
 #include <memory>
 #include <utility>
 
+#include "common/retry.h"
 #include "common/stopwatch.h"
 #include "common/strings.h"
 #include "cost/expected_cost_evaluator.h"
+#include "metric/euclidean_space.h"
 #include "obs/trace.h"
 #include "uncertain/io.h"
 
@@ -191,9 +193,11 @@ VerifyOutcome IntegrateGrid(const VerifyGrid& grid, double grid_top,
 
 // The verification pass: drains a fresh source, sharding each batch's
 // points over the pool into per-worker grids, then reduces and
-// integrates.
+// integrates. Pulls retry transient failures under `retry`, exactly as
+// the ingest pass does.
 Result<VerifyOutcome> VerifyPass(size_t dim, metric::Norm norm,
                                  const BatchSource& source,
+                                 const RetryOptions& retry,
                                  const std::vector<double>& center_coords,
                                  size_t k, double grid_top, size_t buckets,
                                  ThreadPool* pool) {
@@ -203,7 +207,11 @@ Result<VerifyOutcome> VerifyPass(size_t dim, metric::Norm norm,
       pool->num_threads());
   uncertain::UncertainPointBatch batch;
   while (true) {
-    UKC_ASSIGN_OR_RETURN(bool more, source(&batch));
+    bool more = false;
+    UKC_RETURN_IF_ERROR(RetryTransient(retry, [&]() -> Status {
+      UKC_ASSIGN_OR_RETURN(more, source(&batch));
+      return Status::OK();
+    }));
     if (!more) break;
     UKC_RETURN_IF_ERROR(ValidateBatch(batch, dim));
     if (batch.norm != norm) {
@@ -227,25 +235,78 @@ Result<VerifyOutcome> VerifyPass(size_t dim, metric::Norm norm,
 
 }  // namespace
 
+Result<RepresentativeSolution> SolveRepresentatives(
+    const std::vector<StreamingCoreset::Cell>& cells, size_t dim,
+    metric::Norm norm, size_t k, const solver::CertainSolverOptions& certain,
+    ThreadPool* pool, const Deadline& deadline) {
+  auto space = std::make_shared<metric::EuclideanSpace>(dim, norm);
+  std::vector<uncertain::UncertainPoint> points;
+  points.reserve(cells.size());
+  for (const StreamingCoreset::Cell& cell : cells) {
+    points.push_back(uncertain::UncertainPoint::Certain(
+        space->AddCoords(cell.representative.data())));
+  }
+  UKC_ASSIGN_OR_RETURN(
+      uncertain::UncertainDataset dataset,
+      uncertain::UncertainDataset::Build(space, std::move(points)));
+  core::UncertainKCenterOptions solve_options;
+  solve_options.k = k;
+  solve_options.rule = cost::AssignmentRule::kExpectedDistance;
+  solve_options.certain = certain;
+  solve_options.pool = pool;
+  solve_options.deadline = deadline;
+  UKC_ASSIGN_OR_RETURN(core::UncertainKCenterSolution solution,
+                       core::SolveUncertainKCenter(&dataset, solve_options));
+  RepresentativeSolution result;
+  result.cost = solution.expected_cost;
+  result.radius = solution.certain_radius;
+  result.center_coords.resize(k * dim);
+  for (size_t c = 0; c < k; ++c) {
+    const double* coords = space->coords(solution.centers[c]);
+    std::copy(coords, coords + dim, result.center_coords.data() + c * dim);
+  }
+  return result;
+}
+
+Result<double> RepresentativeRadius(
+    const std::vector<StreamingCoreset::Cell>& cells, size_t dim,
+    metric::Norm norm, const double* centers, size_t num_centers,
+    const Deadline& deadline) {
+  double radius = 0.0;
+  for (size_t cell = 0; cell < cells.size(); ++cell) {
+    if ((cell & 255u) == 0u) {
+      UKC_RETURN_IF_ERROR(deadline.Check("RepresentativeRadius"));
+    }
+    const double* rep = cells[cell].representative.data();
+    double nearest = std::numeric_limits<double>::infinity();
+    for (size_t c = 0; c < num_centers; ++c) {
+      const double d =
+          metric::NormDistanceKernel(norm, rep, centers + c * dim, dim);
+      if (d < nearest) nearest = d;
+    }
+    if (nearest > radius) radius = nearest;
+  }
+  return radius;
+}
+
 Result<StreamingSolution> StreamingUncertainKCenter::SolveSource(
-    size_t dim, const BatchSourceFactory& factory) {
+    size_t dim, const ResumableSourceFactory& factory) {
   ScopedPool pool(options_.pool, options_.threads);
-  return Solve(dim, AdaptBatchFactory(factory), pool.get());
+  return Solve(dim, factory, pool.get());
 }
 
 Result<StreamingSolution> StreamingUncertainKCenter::SolveFile(
     const std::string& path) {
-  // Open once up front for the header (dimension + early validation);
-  // the probe reader then seeds pass 1 of the pipeline, so the header
-  // is parsed once for probe + ingest combined and only the
-  // verification pass reopens the file.
-  UKC_ASSIGN_OR_RETURN(uncertain::DatasetReader reader,
-                       uncertain::DatasetReader::Open(path));
-  const size_t dim = reader.dim();
+  // The header supplies the dimension (and validates the file early);
+  // both passes then open their own readers through the factory.
+  size_t dim = 0;
+  {
+    UKC_ASSIGN_OR_RETURN(uncertain::DatasetReader reader,
+                         uncertain::DatasetReader::Open(path));
+    dim = reader.dim();
+  }
   ScopedPool pool(options_.pool, options_.threads);
-  return Solve(dim,
-               ResumableSeededFileFactory(std::move(reader), path,
-                                          options_.ingest.chunk_size),
+  return Solve(dim, ResumableFileFactory(path, options_.ingest.chunk_size),
                pool.get());
 }
 
@@ -323,41 +384,17 @@ Result<StreamingSolution> StreamingUncertainKCenter::Solve(
   solution.coreset_memory_bytes = coreset.ApproxMemoryBytes();
   solution.timings.ingest_seconds = stopwatch.ElapsedSeconds();
 
-  // Solve on the coreset instance through the existing pipeline. Cell
-  // representatives are certain points; their weights do not enter the
-  // max objective, so the instance is the unweighted representative
-  // set. The run shares this pipeline's worker pool via the options
-  // hook.
+  // Solve on the coreset instance through the existing pipeline,
+  // sharing this run's worker pool.
   stopwatch.Reset();
   solution.k = std::min(options_.k, cells.size());
-  auto coreset_space =
-      std::make_shared<metric::EuclideanSpace>(dim, coreset.norm());
-  std::vector<uncertain::UncertainPoint> coreset_points;
-  coreset_points.reserve(cells.size());
-  for (const StreamingCoreset::Cell& cell : cells) {
-    const metric::SiteId site =
-        coreset_space->AddCoords(cell.representative.data());
-    coreset_points.push_back(uncertain::UncertainPoint::Certain(site));
-  }
   UKC_ASSIGN_OR_RETURN(
-      uncertain::UncertainDataset coreset_dataset,
-      uncertain::UncertainDataset::Build(coreset_space,
-                                         std::move(coreset_points)));
-  core::UncertainKCenterOptions solve_options;
-  solve_options.k = solution.k;
-  solve_options.rule = cost::AssignmentRule::kExpectedDistance;
-  solve_options.certain = options_.certain;
-  solve_options.pool = pool;
-  UKC_ASSIGN_OR_RETURN(
-      core::UncertainKCenterSolution coreset_solution,
-      core::SolveUncertainKCenter(&coreset_dataset, solve_options));
-  solution.coreset_cost = coreset_solution.expected_cost;
-  solution.coreset_radius = coreset_solution.certain_radius;
-  solution.center_coords.resize(solution.k * dim);
-  for (size_t c = 0; c < solution.k; ++c) {
-    const double* coords = coreset_space->coords(coreset_solution.centers[c]);
-    std::copy(coords, coords + dim, solution.center_coords.data() + c * dim);
-  }
+      RepresentativeSolution coreset_solution,
+      SolveRepresentatives(cells, dim, coreset.norm(), solution.k,
+                           options_.certain, pool));
+  solution.coreset_cost = coreset_solution.cost;
+  solution.coreset_radius = coreset_solution.radius;
+  solution.center_coords = std::move(coreset_solution.center_coords);
   solution.timings.solve_seconds = stopwatch.ElapsedSeconds();
 
   if (!options_.verify) return solution;
@@ -368,17 +405,10 @@ Result<StreamingSolution> StreamingUncertainKCenter::Solve(
   // of its ED-assigned center (stream/coreset.h contract plus norm
   // convexity), so the integrand vanishes above it.
   stopwatch.Reset();
-  double rep_radius = 0.0;
-  for (const StreamingCoreset::Cell& cell : cells) {
-    double nearest = std::numeric_limits<double>::infinity();
-    for (size_t c = 0; c < solution.k; ++c) {
-      nearest = std::min(
-          nearest, metric::NormDistanceKernel(
-                       coreset.norm(), cell.representative.data(),
-                       solution.center_coords.data() + c * dim, dim));
-    }
-    rep_radius = std::max(rep_radius, nearest);
-  }
+  UKC_ASSIGN_OR_RETURN(
+      const double rep_radius,
+      RepresentativeRadius(cells, dim, coreset.norm(),
+                           solution.center_coords.data(), solution.k));
   const double grid_top =
       (rep_radius + coreset.diameter() + 2.0 * coreset.max_spread()) *
       (1.0 + 1e-9);
@@ -388,8 +418,8 @@ Result<StreamingSolution> StreamingUncertainKCenter::Solve(
   UKC_ASSIGN_OR_RETURN(
       VerifyOutcome outcome,
       VerifyPass(dim, coreset.norm(), verify_source.next,
-                 solution.center_coords, solution.k, grid_top,
-                 options_.verify_buckets, pool));
+                 IngestRetryOptions(options_.ingest), solution.center_coords,
+                 solution.k, grid_top, options_.verify_buckets, pool));
   if (outcome.points != solution.ingest_stats.points) {
     return Status::Internal(StrFormat(
         "StreamingUncertainKCenter: verification saw %llu points, ingest saw "

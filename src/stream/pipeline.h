@@ -41,9 +41,11 @@
 #include <string>
 #include <vector>
 
+#include "common/deadline.h"
 #include "common/result.h"
 #include "core/uncertain_kcenter.h"
 #include "solver/certain_solver.h"
+#include "stream/coreset.h"
 #include "stream/ingest.h"
 
 namespace ukc {
@@ -119,6 +121,38 @@ struct StreamingSolution {
   } timings;
 };
 
+/// The surrogate pipeline run on coreset cell representatives, shared
+/// by the streaming facade and every serving tenant.
+struct RepresentativeSolution {
+  /// The chosen centers, row-major k × dim coordinates.
+  std::vector<double> center_coords;
+  /// Exact expected cost on the representative instance, and its
+  /// certain-clustering radius.
+  double cost = 0.0;
+  double radius = 0.0;
+};
+
+/// Solves k-center on the representatives of `cells` (non-empty; k <=
+/// cells.size()): each representative becomes a certain point of a
+/// fresh Euclidean space under `norm` (cell weights do not enter the
+/// max objective, so the instance is unweighted), then
+/// core::SolveUncertainKCenter runs with the ED rule, `certain`,
+/// `pool` and `deadline`. Deterministic for every pool size.
+Result<RepresentativeSolution> SolveRepresentatives(
+    const std::vector<StreamingCoreset::Cell>& cells, size_t dim,
+    metric::Norm norm, size_t k, const solver::CertainSolverOptions& certain,
+    ThreadPool* pool, const Deadline& deadline = Deadline());
+
+/// max over cells of the distance from the representative to its
+/// nearest center (`num_centers` rows of dim doubles at `centers`); 0
+/// for no cells. Fixed cell and center order with strict comparisons,
+/// so the value is bitwise reproducible; `deadline` is checked every
+/// 256 cells, starting with the first.
+Result<double> RepresentativeRadius(
+    const std::vector<StreamingCoreset::Cell>& cells, size_t dim,
+    metric::Norm norm, const double* centers, size_t num_centers,
+    const Deadline& deadline = Deadline());
+
 /// The facade. Thread-compatible: one Solve* call at a time.
 class StreamingUncertainKCenter {
  public:
@@ -126,16 +160,19 @@ class StreamingUncertainKCenter {
       : options_(std::move(options)) {}
 
   /// Solves a re-startable stream of known dimension. The factory is
-  /// invoked once for the ingest pass and once more for the
-  /// verification pass. With options.ingest.checkpoint set, the ingest
-  /// pass checkpoints and resumes through the replay-verify path (see
-  /// stream/ingest.h AdaptBatchFactory).
+  /// invoked once for the ingest pass and once more (from the start)
+  /// for the verification pass. With options.ingest.checkpoint set,
+  /// the ingest pass checkpoints and resumes through the factory
+  /// (positioned when it can, replay-verify otherwise; see
+  /// stream/ingest.h ResumableSourceFactory).
   Result<StreamingSolution> SolveSource(size_t dim,
-                                        const BatchSourceFactory& factory);
+                                        const ResumableSourceFactory& factory);
 
   /// Solves a dataset file (uncertain/io.h format) through the chunked
-  /// reader; the file is read twice and never materialized. With
-  /// options.ingest.checkpoint set, a resumed ingest seeks straight to
+  /// reader; the file is read twice and never materialized. The header
+  /// is read up front only for the dimension; both passes then open
+  /// the file through ResumableFileFactory, so with
+  /// options.ingest.checkpoint set a resumed ingest seeks straight to
   /// the checkpointed byte offset.
   Result<StreamingSolution> SolveFile(const std::string& path);
 

@@ -262,37 +262,5 @@ TEST(StopwatchTest, ResetRestarts) {
   EXPECT_LE(stopwatch.ElapsedSeconds(), before + 1.0);
 }
 
-TEST(StopwatchTest, PauseFreezesTheTotal) {
-  Stopwatch stopwatch;
-  EXPECT_TRUE(stopwatch.IsRunning());
-  stopwatch.Pause();
-  EXPECT_FALSE(stopwatch.IsRunning());
-  const double frozen = stopwatch.ElapsedSeconds();
-  volatile double sink = 0.0;
-  for (int i = 0; i < 100000; ++i) sink = sink + 1.0;
-  // Paused time must not accumulate.
-  EXPECT_DOUBLE_EQ(stopwatch.ElapsedSeconds(), frozen);
-  stopwatch.Pause();  // Idempotent.
-  EXPECT_DOUBLE_EQ(stopwatch.ElapsedSeconds(), frozen);
-}
-
-TEST(StopwatchTest, ResumeAccumulatesAcrossSegments) {
-  Stopwatch stopwatch;
-  stopwatch.Pause();
-  const double first_segment = stopwatch.ElapsedSeconds();
-  stopwatch.Resume();
-  EXPECT_TRUE(stopwatch.IsRunning());
-  stopwatch.Resume();  // Idempotent.
-  volatile double sink = 0.0;
-  for (int i = 0; i < 100000; ++i) sink = sink + 1.0;
-  stopwatch.Pause();
-  // The second segment adds on top of the frozen first one.
-  EXPECT_GE(stopwatch.ElapsedSeconds(), first_segment);
-  // Reset clears the accumulation and leaves the watch running.
-  stopwatch.Reset();
-  EXPECT_TRUE(stopwatch.IsRunning());
-  EXPECT_LT(stopwatch.ElapsedSeconds(), 1.0);
-}
-
 }  // namespace
 }  // namespace ukc

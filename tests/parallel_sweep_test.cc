@@ -484,10 +484,10 @@ TEST(ParallelSweepTest, DoubleBufferedIngestMatchesOneCoreset) {
         options.chunk_size = chunk;
         options.shards = shards;
         options.coreset = coreset_options;
-        auto source = *stream::MakeDatasetBatchSource(&dataset, chunk);
         stream::IngestStats stats;
-        auto coreset = *stream::BuildCoresetFromSource(2, source, options,
-                                                       &pool, &stats);
+        auto coreset = *stream::IngestCoreset(
+            2, stream::ResumableDatasetFactory(&dataset, chunk), options,
+            &pool, &stats);
         EXPECT_EQ(stats.points, dataset.n());
         EXPECT_EQ(stats.batches, (dataset.n() + chunk - 1) / chunk);
         EXPECT_EQ(coreset.level(), reference.level());

@@ -23,7 +23,9 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/deadline.h"
@@ -35,8 +37,11 @@
 #include "serve/registry.h"
 #include "serve/serve.h"
 #include "serve/tenant.h"
+#include "metric/euclidean_space.h"
 #include "stream/coreset.h"
+#include "stream/pipeline.h"
 #include "uncertain/chunk.h"
+#include "uncertain/dataset.h"
 
 namespace ukc {
 namespace {
@@ -577,6 +582,59 @@ TEST(ServeTest, ThreadCountNeverChangesAnyAnswerBit) {
   a.Drain();
   b.Drain();
   ExpectReplicasAnswerIdentically(a, b, "alpha");
+}
+
+TEST(ServeTest, TenantCentersMatchStreamingSolveBitwise) {
+  // A tenant and the streaming pipeline run the same representative
+  // solve on the same coreset: with equal points and default coreset
+  // options, the tenant's centers answer must equal the pipeline's
+  // coreset solution bit for bit at every thread count.
+  Rng rng(31);
+  std::vector<uncertain::UncertainPointBatch> batches;
+  for (int b = 0; b < 6; ++b) batches.push_back(MakeBatch(rng, 100, 2));
+
+  auto space = std::make_shared<metric::EuclideanSpace>(2);
+  std::vector<uncertain::UncertainPoint> points;
+  for (const uncertain::UncertainPointBatch& batch : batches) {
+    for (size_t i = 0; i < batch.n(); ++i) {
+      std::vector<uncertain::Location> locations;
+      for (size_t l = batch.offsets[i]; l < batch.offsets[i + 1]; ++l) {
+        locations.push_back(uncertain::Location{
+            space->AddCoords(batch.location_coords(l)),
+            batch.probabilities[l]});
+      }
+      auto point = uncertain::UncertainPoint::Build(std::move(locations));
+      ASSERT_TRUE(point.ok()) << point.status();
+      points.push_back(std::move(*point));
+    }
+  }
+  auto dataset = uncertain::UncertainDataset::Build(space, std::move(points));
+  ASSERT_TRUE(dataset.ok()) << dataset.status();
+
+  TenantConfig config;
+  config.dim = 2;
+  config.k = 4;
+  for (int threads : {1, 2, 8}) {
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    Tenant tenant("parity", config);
+    for (const uncertain::UncertainPointBatch& batch : batches) {
+      ASSERT_TRUE(tenant.Append(batch).ok());
+    }
+    ThreadPool pool(threads);
+    auto served = tenant.QueryCenters(&pool, Deadline());
+    ASSERT_TRUE(served.ok()) << served.status();
+
+    stream::StreamingOptions options;
+    options.k = config.k;
+    options.threads = threads;
+    auto streamed =
+        stream::StreamingUncertainKCenter(options).SolveDataset(&*dataset);
+    ASSERT_TRUE(streamed.ok()) << streamed.status();
+
+    ASSERT_EQ(served->k, streamed->k);
+    EXPECT_EQ(served->center_coords, streamed->center_coords);
+    EXPECT_EQ(served->cost, streamed->coreset_cost);
+  }
 }
 
 // --- Snapshot-cadence edge cases --------------------------------------------

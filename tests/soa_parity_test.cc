@@ -401,7 +401,7 @@ TEST(EvaluatorParityTest, BatchMatchesIndividualCalls) {
   }
 }
 
-TEST(EvaluatorParityTest, ThreadedMonteCarloMatchesExact) {
+TEST(EvaluatorParityTest, MonteCarloMatchesExact) {
   exper::InstanceSpec spec;
   spec.family = exper::Family::kClustered;
   spec.n = 30;
@@ -419,9 +419,7 @@ TEST(EvaluatorParityTest, ThreadedMonteCarloMatchesExact) {
   auto exact = cost::ExactAssignedCost(*dataset, *assignment);
   ASSERT_TRUE(exact.ok());
 
-  cost::ExpectedCostEvaluator::Options options;
-  options.monte_carlo_threads = 4;
-  cost::ExpectedCostEvaluator evaluator(options);
+  cost::ExpectedCostEvaluator evaluator;
   Rng rng(99);
   auto estimate =
       evaluator.MonteCarloAssignedCost(*dataset, *assignment, 100000, rng);
@@ -429,7 +427,7 @@ TEST(EvaluatorParityTest, ThreadedMonteCarloMatchesExact) {
   EXPECT_EQ(estimate->samples, 100000);
   EXPECT_NEAR(estimate->mean, *exact, 6.0 * estimate->std_error + 1e-9);
 
-  // Deterministic: the same seed and thread count reproduce the mean.
+  // Deterministic: the same seed reproduces the mean.
   Rng rng_again(99);
   auto again =
       evaluator.MonteCarloAssignedCost(*dataset, *assignment, 100000, rng_again);

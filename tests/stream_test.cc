@@ -14,12 +14,14 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "common/fault_injection.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/unassigned.h"
@@ -264,11 +266,10 @@ TEST(StreamingCoresetTest, CapacityAndExtractionInvariants) {
   options.chunk_size = 128;
   options.coreset.max_cells = 64;
   ThreadPool pool(1);
-  auto source = stream::MakeDatasetBatchSource(&dataset, options.chunk_size);
-  ASSERT_TRUE(source.ok());
   stream::IngestStats stats;
-  auto coreset =
-      stream::BuildCoresetFromSource(2, *source, options, &pool, &stats);
+  auto coreset = stream::IngestCoreset(
+      2, stream::ResumableDatasetFactory(&dataset, options.chunk_size), options,
+      &pool, &stats);
   ASSERT_TRUE(coreset.ok()) << coreset.status();
 
   EXPECT_LE(coreset->num_cells(), options.coreset.max_cells);
@@ -301,9 +302,9 @@ TEST(StreamingCoresetTest, BitwisePartitionInvariance) {
     options.chunk_size = chunk_size;
     options.shards = shards;
     options.coreset = coreset_options;
-    auto source = stream::MakeDatasetBatchSource(&dataset, chunk_size);
-    EXPECT_TRUE(source.ok());
-    auto coreset = stream::BuildCoresetFromSource(2, *source, options, &pool);
+    auto coreset = stream::IngestCoreset(
+        2, stream::ResumableDatasetFactory(&dataset, chunk_size), options,
+        &pool);
     EXPECT_TRUE(coreset.ok()) << coreset.status();
     return std::move(*coreset);
   };
@@ -345,28 +346,13 @@ TEST(StreamingCoresetTest, MemoryBoundedByCellsNotInput) {
     stream::IngestOptions options;
     options.chunk_size = 512;
     options.coreset = coreset_options;
-    auto source = stream::MakeDatasetBatchSource(&dataset, options.chunk_size);
-    ASSERT_TRUE(source.ok());
-    auto coreset = stream::BuildCoresetFromSource(2, *source, options, &pool);
+    auto coreset = stream::IngestCoreset(
+        2, stream::ResumableDatasetFactory(&dataset, options.chunk_size),
+        options, &pool);
     ASSERT_TRUE(coreset.ok());
     EXPECT_LE(coreset->num_cells(), coreset_options.max_cells);
     EXPECT_LE(coreset->ApproxMemoryBytes(), kBudget) << "n=" << n;
   }
-}
-
-TEST(StreamingIngestTest, BuildCoresetFromSourceRejectsCheckpointing) {
-  // A bare BatchSource cannot be re-opened, so it cannot honor the
-  // resume-or-fall-back contract; asking for a checkpoint must be an
-  // explicit error, not a silent no-op.
-  auto dataset = MakeDataset(50, 3);
-  ThreadPool pool(1);
-  stream::IngestOptions options;
-  options.checkpoint.path = TempPath("rejected.ckpt");
-  auto source = stream::MakeDatasetBatchSource(&dataset, 16);
-  ASSERT_TRUE(source.ok());
-  auto coreset = stream::BuildCoresetFromSource(2, *source, options, &pool);
-  ASSERT_FALSE(coreset.ok());
-  EXPECT_EQ(coreset.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(StreamingIngestTest, CheckpointedIngestMatchesPlainIngest) {
@@ -546,43 +532,50 @@ TEST(StreamingPipelineTest, CheckpointedSolveFileMatchesPlain) {
   EXPECT_GT(got->ingest_stats.checkpoint_saves, 0u);
 }
 
-// Regression for the SolveFile double header-parse: the header probe's
-// reader must seed pass 1 instead of the factory reopening the file.
-// Deleting the file right after the probe is the open-counting proof on
-// POSIX: the already-open reader keeps working (so the first factory
-// call consumed the probe — one open, one header parse for probe +
-// pass 1 combined), while any *further* pass must reopen and fails
-// NotFound.
-TEST(StreamingPipelineTest, SeededFileFactoryReusesProbeReader) {
-  const auto dataset = MakeDataset(50, 41);
-  const std::string path = TempPath("stream_seeded.ukc");
+#if UKC_FAULT_INJECTION
+// The verification pass retries a transient read failure under the
+// run's retry policy, exactly as the ingest pass does: one kUnavailable
+// at the first chunk read of pass 2 must not fail the solve, and the
+// retried solve equals the fault-free one.
+TEST(StreamingPipelineTest, VerifyPassRetriesTransientReadFailure) {
+  auto dataset = MakeDataset(300, 47);
+  const std::string path = TempPath("verify_retry.ukc");
   ASSERT_TRUE(uncertain::SaveDatasetToFile(dataset, path).ok());
+  stream::StreamingOptions options = PipelineOptions(2, 32, 2);
+  options.ingest.retry.sleeper = [](std::chrono::nanoseconds) {};
+  auto want = stream::StreamingUncertainKCenter(options).SolveFile(path);
+  ASSERT_TRUE(want.ok()) << want.status();
 
-  auto probe = uncertain::DatasetReader::Open(path);
-  ASSERT_TRUE(probe.ok()) << probe.status();
-  ASSERT_EQ(std::remove(path.c_str()), 0);
-
-  auto factory =
-      stream::SeededFileBatchFactory(std::move(*probe), path, 16);
-  auto first = factory();
-  ASSERT_TRUE(first.ok()) << first.status();
-  uncertain::UncertainPointBatch batch;
-  size_t points = 0;
-  while (true) {
-    auto more = (*first)(&batch);
-    ASSERT_TRUE(more.ok()) << more.status();
-    if (!*more) break;
-    points += batch.n();
+  // Pass 1's chunk reads, counted on an ingest-only solve: the next hit
+  // of the site is the first read of pass 2.
+  uint64_t pass1_reads = 0;
+  {
+    stream::StreamingOptions ingest_only = options;
+    ingest_only.verify = false;
+    ScopedFaultInjection scope(FaultPlan{});
+    ASSERT_TRUE(
+        stream::StreamingUncertainKCenter(ingest_only).SolveFile(path).ok());
+    pass1_reads = scope.injector().hits("io.read_chunk");
   }
-  EXPECT_EQ(points, dataset.n());  // Full pass off the probe reader.
+  ASSERT_GT(pass1_reads, 0u);
 
-  auto second = factory();
-  EXPECT_FALSE(second.ok());  // Later passes reopen the (gone) file.
+  FaultPlan plan;
+  plan.rules.push_back(FaultRule{"io.read_chunk", {pass1_reads}, 0.0,
+                                 StatusCode::kUnavailable, 1});
+  ScopedFaultInjection scope(plan);
+  auto got = stream::StreamingUncertainKCenter(options).SolveFile(path);
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_EQ(scope.injector().fires(), 1u);
+  EXPECT_EQ(got->center_coords, want->center_coords);
+  EXPECT_EQ(got->coreset_cost, want->coreset_cost);
+  EXPECT_EQ(got->verified_lower, want->verified_lower);
+  EXPECT_EQ(got->verified_upper, want->verified_upper);
+  EXPECT_EQ(got->max_expected_distance, want->max_expected_distance);
 }
+#endif  // UKC_FAULT_INJECTION
 
 // Read accounting of the pipeline: with verification off the stream is
-// opened exactly once; with it on, exactly twice. (SolveFile's pass 1
-// additionally rides the probe reader — see the test above.)
+// opened exactly once; with it on, exactly twice.
 TEST(StreamingPipelineTest, SolveOpensTheStreamOncePerPass) {
   auto dataset = MakeDataset(200, 43);
   for (bool verify : {false, true}) {
@@ -590,9 +583,11 @@ TEST(StreamingPipelineTest, SolveOpensTheStreamOncePerPass) {
     options.verify = verify;
     stream::StreamingUncertainKCenter solver(options);
     size_t factory_calls = 0;
-    auto factory = [&]() -> Result<stream::BatchSource> {
+    const stream::ResumableSourceFactory dataset_factory =
+        stream::ResumableDatasetFactory(&dataset, 64);
+    auto factory = [&](const stream::ResumePoint* resume, bool* positioned) {
       ++factory_calls;
-      return stream::MakeDatasetBatchSource(&dataset, 64);
+      return dataset_factory(resume, positioned);
     };
     auto solution = solver.SolveSource(2, factory);
     ASSERT_TRUE(solution.ok()) << solution.status();
@@ -606,28 +601,32 @@ TEST(StreamingPipelineTest, ProducerSourceMatchesDataset) {
   // through the producer adapter.
   const size_t n = 400;
   const size_t dim = 2;
-  auto make_factory = [&]() -> stream::BatchSourceFactory {
-    return [n]() -> Result<stream::BatchSource> {
+  auto make_factory = [&]() -> stream::ResumableSourceFactory {
+    return [n](const stream::ResumePoint*,
+               bool*) -> Result<stream::ResumableSource> {
       auto index = std::make_shared<size_t>(0);
-      return stream::MakeProducerBatchSource(
-          2,
-          [n, index](std::vector<double>* coords,
-                     std::vector<double>* probabilities) {
-            if (*index >= n) return false;
-            Rng rng(1234);
-            Rng point_rng = rng.Fork(*index);
-            const double cx = point_rng.UniformDouble(0.0, 10.0);
-            const double cy = point_rng.UniformDouble(0.0, 10.0);
-            for (int l = 0; l < 2; ++l) {
-              coords->push_back(cx + point_rng.Gaussian(0.0, 0.2));
-              coords->push_back(cy + point_rng.Gaussian(0.0, 0.2));
-            }
-            probabilities->push_back(0.25);
-            probabilities->push_back(0.75);
-            ++*index;
-            return true;
-          },
-          64);
+      UKC_ASSIGN_OR_RETURN(
+          stream::BatchSource next,
+          stream::MakeProducerBatchSource(
+              2,
+              [n, index](std::vector<double>* coords,
+                         std::vector<double>* probabilities) {
+                if (*index >= n) return false;
+                Rng rng(1234);
+                Rng point_rng = rng.Fork(*index);
+                const double cx = point_rng.UniformDouble(0.0, 10.0);
+                const double cy = point_rng.UniformDouble(0.0, 10.0);
+                for (int l = 0; l < 2; ++l) {
+                  coords->push_back(cx + point_rng.Gaussian(0.0, 0.2));
+                  coords->push_back(cy + point_rng.Gaussian(0.0, 0.2));
+                }
+                probabilities->push_back(0.25);
+                probabilities->push_back(0.75);
+                ++*index;
+                return true;
+              },
+              64));
+      return stream::ResumableSource{std::move(next)};
     };
   };
 
@@ -636,11 +635,12 @@ TEST(StreamingPipelineTest, ProducerSourceMatchesDataset) {
   auto space = std::make_shared<metric::EuclideanSpace>(dim);
   std::vector<uncertain::UncertainPoint> points;
   {
-    auto one_pass = factory();
+    bool positioned = false;
+    auto one_pass = factory(nullptr, &positioned);
     ASSERT_TRUE(one_pass.ok());
     uncertain::UncertainPointBatch batch;
     while (true) {
-      auto more = (*one_pass)(&batch);
+      auto more = one_pass->next(&batch);
       ASSERT_TRUE(more.ok());
       if (!*more) break;
       for (size_t i = 0; i < batch.n(); ++i) {
