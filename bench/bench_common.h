@@ -16,9 +16,25 @@
 #include "core/uncertain_kcenter.h"
 #include "exper/instances.h"
 #include "exper/reference.h"
+#include "obs/metrics.h"
 
 namespace ukc {
 namespace bench {
+
+/// Milliseconds SolveUncertainKCenter spent in `stage` (surrogate,
+/// cluster, assign or evaluate) between two snapshots of the default
+/// metrics registry: the per-call delta of the ukc_solve_stage_seconds
+/// series. Under UKC_OBS=OFF the snapshots are empty and every stage
+/// reads 0.
+inline double StageMillisBetween(const obs::RegistrySnapshot& before,
+                                 const obs::RegistrySnapshot& after,
+                                 const char* stage) {
+  const auto seconds = [stage](const obs::RegistrySnapshot& snapshot) {
+    return snapshot.HistogramSum("ukc_solve_stage_seconds",
+                                 {{"stage", stage}});
+  };
+  return (seconds(after) - seconds(before)) * 1e3;
+}
 
 /// Prints the standard bench banner.
 inline void PrintBanner(const std::string& title, const std::string& claim) {

@@ -25,14 +25,17 @@ double RunOnce(size_t n, size_t z, size_t k, size_t dim) {
   core::UncertainKCenterOptions options;
   options.k = k;
   options.rule = cost::AssignmentRule::kExpectedDistance;
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
+  const obs::RegistrySnapshot before = registry.Snapshot();
   auto solution = core::SolveUncertainKCenter(&dataset.value(), options);
   UKC_CHECK(solution.ok()) << solution.status();
+  const obs::RegistrySnapshot after = registry.Snapshot();
   // Report the algorithm time (surrogate + clustering + assignment);
   // the exact cost evaluation is our measurement apparatus, not part of
   // the paper's algorithm.
-  const auto& t = solution->timings;
-  return (t.surrogate_seconds + t.clustering_seconds + t.assignment_seconds) *
-         1e3;
+  return bench::StageMillisBetween(before, after, "surrogate") +
+         bench::StageMillisBetween(before, after, "cluster") +
+         bench::StageMillisBetween(before, after, "assign");
 }
 
 int Run() {

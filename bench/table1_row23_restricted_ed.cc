@@ -87,14 +87,18 @@ int Run() {
     core::UncertainKCenterOptions options;
     options.k = spec.k;
     options.rule = cost::AssignmentRule::kExpectedDistance;
+    obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
+    const obs::RegistrySnapshot before = registry.Snapshot();
     auto solution = core::SolveUncertainKCenter(&dataset.value(), options);
     UKC_CHECK(solution.ok()) << solution.status();
-    const auto& t = solution->timings;
-    scaling.AddRowValues(
-        static_cast<int>(n), 5, 8, t.surrogate_seconds * 1e3,
-        t.clustering_seconds * 1e3, t.assignment_seconds * 1e3,
-        (t.surrogate_seconds + t.clustering_seconds + t.assignment_seconds) *
-            1e3);
+    const obs::RegistrySnapshot after = registry.Snapshot();
+    const double surrogate_ms =
+        bench::StageMillisBetween(before, after, "surrogate");
+    const double cluster_ms =
+        bench::StageMillisBetween(before, after, "cluster");
+    const double assign_ms = bench::StageMillisBetween(before, after, "assign");
+    scaling.AddRowValues(static_cast<int>(n), 5, 8, surrogate_ms, cluster_ms,
+                         assign_ms, surrogate_ms + cluster_ms + assign_ms);
   }
   scaling.Print(std::cout);
   std::cout << (all_ok ? "\nAll measured ratios within the claimed factors.\n"

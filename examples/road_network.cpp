@@ -17,6 +17,7 @@
 #include "common/table.h"
 #include "core/uncertain_kcenter.h"
 #include "exper/reference.h"
+#include "obs/metrics.h"
 #include "uncertain/generators.h"
 
 int main(int argc, char** argv) {
@@ -84,13 +85,22 @@ int main(int argc, char** argv) {
   }
 
   // Timing breakdown, since the all-sites P̃ search dominates on graphs.
-  const auto& t = solution->timings;
+  // The one solve's stage times come off the metrics registry; under
+  // UKC_OBS=OFF it is empty and the breakdown is omitted.
+  if (!ukc::obs::kEnabled) return 0;
+  const ukc::obs::RegistrySnapshot snapshot =
+      ukc::obs::MetricsRegistry::Default().Snapshot();
+  const auto stage_ms = [&snapshot](const char* stage) {
+    return snapshot.HistogramSum("ukc_solve_stage_seconds",
+                                 {{"stage", stage}}) *
+           1e3;
+  };
   ukc::TablePrinter timings({"phase", "ms"});
   timings.AddRowValues("P~ surrogates (all-sites search)",
-                       t.surrogate_seconds * 1e3);
-  timings.AddRowValues("k-center on surrogates", t.clustering_seconds * 1e3);
-  timings.AddRowValues("OC assignment", t.assignment_seconds * 1e3);
-  timings.AddRowValues("exact cost evaluation", t.evaluation_seconds * 1e3);
+                       stage_ms("surrogate"));
+  timings.AddRowValues("k-center on surrogates", stage_ms("cluster"));
+  timings.AddRowValues("OC assignment", stage_ms("assign"));
+  timings.AddRowValues("exact cost evaluation", stage_ms("evaluate"));
   std::cout << "\n";
   timings.Print(std::cout);
   return 0;

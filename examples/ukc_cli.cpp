@@ -15,7 +15,8 @@
 //   --solver     gonzalez | hochbaum-shmoys | gonzalez-refined | exact
 //   --unassigned also evaluate the unassigned objective
 //   --mc         Monte-Carlo cross-check samples (0 = off)
-//   --threads    worker threads for the parallel stages
+//   --threads    worker threads for the parallel stages (at most 1024;
+//                <= 0 = hardware threads)
 //   --metrics-out  write the run's metrics registry (src/obs/) to this
 //                  file on exit: Prometheus text, or JSON when the
 //                  path ends in .json
@@ -60,6 +61,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <climits>
 #include <cmath>
 #include <cstring>
 #include <fstream>
@@ -78,6 +80,9 @@
 #include "uncertain/io.h"
 
 namespace {
+
+// Upper bound on --threads: each worker is a real OS thread.
+constexpr int64_t kMaxThreads = 1024;
 
 int Fail(const ukc::Status& status) {
   std::cerr << "error: " << status << "\n";
@@ -285,6 +290,17 @@ int main(int argc, char** argv) {
   if (auto status = flags.Parse(argc, argv); !status.ok()) {
     std::cerr << status << "\n" << flags.Usage("ukc_cli");
     return 1;
+  }
+  // Range-check before the int casts below: a wrapped value would
+  // silently run something else, and --threads sizes a real thread pool.
+  if (threads > kMaxThreads || threads < INT_MIN) {
+    return Fail(ukc::Status::InvalidArgument(
+        "--threads must lie in [" + std::to_string(INT_MIN) + ", " +
+        std::to_string(kMaxThreads) + "] (<= 0 = hardware threads)"));
+  }
+  if (retry_attempts > INT_MAX) {
+    return Fail(ukc::Status::InvalidArgument(
+        "--retry-attempts must be at most " + std::to_string(INT_MAX)));
   }
 
   // Serving mode: a resident multi-tenant session driven by generated
@@ -538,9 +554,24 @@ int main(int argc, char** argv) {
       report.AddRowValues("verified cost (exact evaluator)",
                           solution->verified_exact);
     }
-    report.AddRowValues("ingest ms", solution->timings.ingest_seconds * 1e3);
-    report.AddRowValues("solve ms", solution->timings.solve_seconds * 1e3);
-    report.AddRowValues("verify ms", solution->timings.verify_seconds * 1e3);
+    // Stage times come off the facade's trace spans; the solve row is
+    // the rest of the stream.solve span (coreset extraction, the
+    // representative solve and the pass-2 setup). Under UKC_OBS=OFF
+    // the registry is empty and the rows are omitted.
+    if (ukc::obs::kEnabled) {
+      const ukc::obs::RegistrySnapshot snapshot =
+          ukc::obs::MetricsRegistry::Default().Snapshot();
+      const auto span_ms = [&snapshot](const char* span) {
+        return snapshot.HistogramSum("ukc_span_seconds", {{"span", span}}) *
+               1e3;
+      };
+      const double ingest_ms = span_ms("stream.solve.stream.ingest");
+      const double verify_ms = span_ms("stream.solve.stream.verify");
+      report.AddRowValues("ingest ms", ingest_ms);
+      report.AddRowValues("solve ms",
+                          span_ms("stream.solve") - ingest_ms - verify_ms);
+      report.AddRowValues("verify ms", verify_ms);
+    }
     report.Print(std::cout);
     return WriteMetricsFile(metrics_out);
   }
@@ -598,14 +629,21 @@ int main(int argc, char** argv) {
   report.AddRowValues("certain radius on surrogates", solution->certain_radius);
   report.AddRow({"certain solver", solution->certain_algorithm});
   report.AddRowValues("certain factor f", solution->certain_factor);
-  report.AddRowValues("surrogate ms",
-                      solution->timings.surrogate_seconds * 1e3);
-  report.AddRowValues("clustering ms",
-                      solution->timings.clustering_seconds * 1e3);
-  report.AddRowValues("assignment ms",
-                      solution->timings.assignment_seconds * 1e3);
-  report.AddRowValues("evaluation ms",
-                      solution->timings.evaluation_seconds * 1e3);
+  // Stage times of the one solve this process ran, from the registry;
+  // under UKC_OBS=OFF it is empty and the rows are omitted.
+  if (ukc::obs::kEnabled) {
+    const ukc::obs::RegistrySnapshot snapshot =
+        ukc::obs::MetricsRegistry::Default().Snapshot();
+    const auto stage_ms = [&snapshot](const char* stage) {
+      return snapshot.HistogramSum("ukc_solve_stage_seconds",
+                                   {{"stage", stage}}) *
+             1e3;
+    };
+    report.AddRowValues("surrogate ms", stage_ms("surrogate"));
+    report.AddRowValues("clustering ms", stage_ms("cluster"));
+    report.AddRowValues("assignment ms", stage_ms("assign"));
+    report.AddRowValues("evaluation ms", stage_ms("evaluate"));
+  }
   report.Print(std::cout);
 
   for (const auto& bound : solution->bounds) {

@@ -1,4 +1,6 @@
-// Wall-clock stopwatch for benchmark harnesses and stage timers.
+// Wall-clock stopwatch: the whole-call timer of the bench/ harnesses.
+// Library stage times are not measured here; they live in the metrics
+// registry (obs/trace.h).
 
 #ifndef UKC_COMMON_STOPWATCH_H_
 #define UKC_COMMON_STOPWATCH_H_
@@ -7,24 +9,18 @@
 
 namespace ukc {
 
-/// Measures elapsed wall time since construction or the last Reset().
+/// Measures elapsed wall time since construction.
 class Stopwatch {
  public:
   Stopwatch() : start_(Clock::now()) {}
 
-  /// Restarts the stopwatch: elapsed time drops to zero.
-  void Reset() { start_ = Clock::now(); }
-
-  /// Elapsed seconds since construction or the last Reset().
+  /// Elapsed seconds since construction.
   double ElapsedSeconds() const {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
 
   /// Elapsed milliseconds.
   double ElapsedMillis() const { return ElapsedSeconds() * 1e3; }
-
-  /// Elapsed microseconds.
-  double ElapsedMicros() const { return ElapsedSeconds() * 1e6; }
 
  private:
   using Clock = std::chrono::steady_clock;

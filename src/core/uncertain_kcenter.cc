@@ -2,12 +2,39 @@
 
 #include <cmath>
 
-#include "common/stopwatch.h"
 #include "common/thread_pool.h"
 #include "cost/expected_cost.h"
+#include "obs/trace.h"
 
 namespace ukc {
 namespace core {
+namespace {
+
+// Stage timer handles of ukc_solve_stage_seconds, resolved once per
+// process: every serving tenant's representative solve runs this
+// pipeline, so a per-call registry lookup (a mutex) is not affordable.
+struct SolveStageHistograms {
+  obs::Histogram* surrogate;
+  obs::Histogram* cluster;
+  obs::Histogram* assign;
+  obs::Histogram* evaluate;
+};
+
+[[maybe_unused]] const SolveStageHistograms& StageHistograms() {
+  static const SolveStageHistograms histograms = [] {
+    obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
+    const auto stage = [&registry](const char* name) {
+      return registry.GetHistogram("ukc_solve_stage_seconds",
+                                   "SolveUncertainKCenter stage wall time",
+                                   {{"stage", name}});
+    };
+    return SolveStageHistograms{stage("surrogate"), stage("cluster"),
+                                stage("assign"), stage("evaluate")};
+  }();
+  return histograms;
+}
+
+}  // namespace
 
 Result<UncertainKCenterSolution> SolveUncertainKCenter(
     uncertain::UncertainDataset* dataset,
@@ -43,94 +70,101 @@ Result<UncertainKCenterSolution> SolveUncertainKCenter(
 
   // 1. Surrogates.
   UKC_RETURN_IF_ERROR(options.deadline.Check("SolveUncertainKCenter[surrogates]"));
-  Stopwatch stopwatch;
-  SurrogateOptions surrogate_options;
-  surrogate_options.kind = surrogate_kind;
-  surrogate_options.candidates = options.one_center_candidates;
-  surrogate_options.pool = pool.get();
-  UKC_ASSIGN_OR_RETURN(solution.surrogates,
-                       BuildSurrogates(dataset, surrogate_options));
-  solution.timings.surrogate_seconds = stopwatch.ElapsedSeconds();
+  {
+    UKC_OBS_TIMER(StageHistograms().surrogate);
+    SurrogateOptions surrogate_options;
+    surrogate_options.kind = surrogate_kind;
+    surrogate_options.candidates = options.one_center_candidates;
+    surrogate_options.pool = pool.get();
+    UKC_ASSIGN_OR_RETURN(solution.surrogates,
+                         BuildSurrogates(dataset, surrogate_options));
+  }
 
   // 2. Deterministic k-center on the surrogates, sharing the run's
   // pool with solvers that parallelize (gonzalez-refined).
   UKC_RETURN_IF_ERROR(options.deadline.Check("SolveUncertainKCenter[cluster]"));
-  stopwatch.Reset();
-  metric::MetricSpace* space = dataset->shared_space().get();
-  solver::CertainSolverOptions certain_options = options.certain;
-  if (certain_options.pool == nullptr) certain_options.pool = pool.get();
-  UKC_ASSIGN_OR_RETURN(
-      solver::KCenterSolution certain,
-      solver::SolveCertainKCenter(space, solution.surrogates, options.k,
-                                  certain_options));
-  solution.centers = certain.centers;
-  solution.certain_radius = certain.radius;
-  solution.certain_algorithm = certain.algorithm;
-  solution.certain_factor = certain.approx_factor;
-  solution.timings.clustering_seconds = stopwatch.ElapsedSeconds();
+  {
+    UKC_OBS_TIMER(StageHistograms().cluster);
+    metric::MetricSpace* space = dataset->shared_space().get();
+    solver::CertainSolverOptions certain_options = options.certain;
+    if (certain_options.pool == nullptr) certain_options.pool = pool.get();
+    UKC_ASSIGN_OR_RETURN(
+        solver::KCenterSolution certain,
+        solver::SolveCertainKCenter(space, solution.surrogates, options.k,
+                                    certain_options));
+    solution.centers = certain.centers;
+    solution.certain_radius = certain.radius;
+    solution.certain_algorithm = certain.algorithm;
+    solution.certain_factor = certain.approx_factor;
+  }
 
   // 3. Assignment rule.
   UKC_RETURN_IF_ERROR(options.deadline.Check("SolveUncertainKCenter[assign]"));
-  stopwatch.Reset();
-  switch (options.rule) {
-    case cost::AssignmentRule::kExpectedDistance: {
-      UKC_ASSIGN_OR_RETURN(
-          solution.assignment,
-          cost::AssignExpectedDistance(*dataset, solution.centers,
-                                       options.threads, pool.get()));
-      break;
-    }
-    case cost::AssignmentRule::kExpectedPoint: {
-      // EP assigns by the expected point, which must be built even when
-      // another surrogate drives the clustering.
-      std::vector<metric::SiteId> expected_points;
-      if (surrogate_kind == SurrogateKind::kExpectedPoint) {
-        expected_points = solution.surrogates;
-      } else {
-        SurrogateOptions ep_options;
-        ep_options.kind = SurrogateKind::kExpectedPoint;
-        ep_options.pool = pool.get();
-        UKC_ASSIGN_OR_RETURN(expected_points,
-                             BuildSurrogates(dataset, ep_options));
+  {
+    UKC_OBS_TIMER(StageHistograms().assign);
+    switch (options.rule) {
+      case cost::AssignmentRule::kExpectedDistance: {
+        UKC_ASSIGN_OR_RETURN(
+            solution.assignment,
+            cost::AssignExpectedDistance(*dataset, solution.centers,
+                                         options.threads, pool.get()));
+        break;
       }
-      UKC_ASSIGN_OR_RETURN(
-          solution.assignment,
-          cost::AssignBySurrogate(*dataset, expected_points, solution.centers));
-      break;
-    }
-    case cost::AssignmentRule::kOneCenter: {
-      std::vector<metric::SiteId> one_centers;
-      if (surrogate_kind == SurrogateKind::kOneCenter) {
-        one_centers = solution.surrogates;
-      } else {
-        SurrogateOptions oc_options;
-        oc_options.kind = SurrogateKind::kOneCenter;
-        oc_options.candidates = options.one_center_candidates;
-        oc_options.pool = pool.get();
-        UKC_ASSIGN_OR_RETURN(one_centers, BuildSurrogates(dataset, oc_options));
+      case cost::AssignmentRule::kExpectedPoint: {
+        // EP assigns by the expected point, which must be built even when
+        // another surrogate drives the clustering.
+        std::vector<metric::SiteId> expected_points;
+        if (surrogate_kind == SurrogateKind::kExpectedPoint) {
+          expected_points = solution.surrogates;
+        } else {
+          SurrogateOptions ep_options;
+          ep_options.kind = SurrogateKind::kExpectedPoint;
+          ep_options.pool = pool.get();
+          UKC_ASSIGN_OR_RETURN(expected_points,
+                               BuildSurrogates(dataset, ep_options));
+        }
+        UKC_ASSIGN_OR_RETURN(
+            solution.assignment,
+            cost::AssignBySurrogate(*dataset, expected_points,
+                                    solution.centers));
+        break;
       }
-      UKC_ASSIGN_OR_RETURN(
-          solution.assignment,
-          cost::AssignBySurrogate(*dataset, one_centers, solution.centers));
-      break;
+      case cost::AssignmentRule::kOneCenter: {
+        std::vector<metric::SiteId> one_centers;
+        if (surrogate_kind == SurrogateKind::kOneCenter) {
+          one_centers = solution.surrogates;
+        } else {
+          SurrogateOptions oc_options;
+          oc_options.kind = SurrogateKind::kOneCenter;
+          oc_options.candidates = options.one_center_candidates;
+          oc_options.pool = pool.get();
+          UKC_ASSIGN_OR_RETURN(one_centers,
+                               BuildSurrogates(dataset, oc_options));
+        }
+        UKC_ASSIGN_OR_RETURN(
+            solution.assignment,
+            cost::AssignBySurrogate(*dataset, one_centers, solution.centers));
+        break;
+      }
     }
   }
-  solution.timings.assignment_seconds = stopwatch.ElapsedSeconds();
 
   // 4. Exact evaluation (one evaluator shares scratch across both
   // objectives; its segmented sweep borrows the run's shared pool).
-  stopwatch.Reset();
-  cost::ExpectedCostEvaluator::Options evaluator_options;
-  evaluator_options.sweep_pool = pool.get();
-  evaluator_options.deadline = options.deadline;
-  cost::ExpectedCostEvaluator evaluator(evaluator_options);
-  UKC_ASSIGN_OR_RETURN(solution.expected_cost,
-                       evaluator.AssignedCost(*dataset, solution.assignment));
-  if (options.evaluate_unassigned) {
-    UKC_ASSIGN_OR_RETURN(solution.unassigned_cost,
-                         evaluator.UnassignedCost(*dataset, solution.centers));
+  {
+    UKC_OBS_TIMER(StageHistograms().evaluate);
+    cost::ExpectedCostEvaluator::Options evaluator_options;
+    evaluator_options.sweep_pool = pool.get();
+    evaluator_options.deadline = options.deadline;
+    cost::ExpectedCostEvaluator evaluator(evaluator_options);
+    UKC_ASSIGN_OR_RETURN(solution.expected_cost,
+                         evaluator.AssignedCost(*dataset, solution.assignment));
+    if (options.evaluate_unassigned) {
+      UKC_ASSIGN_OR_RETURN(
+          solution.unassigned_cost,
+          evaluator.UnassignedCost(*dataset, solution.centers));
+    }
   }
-  solution.timings.evaluation_seconds = stopwatch.ElapsedSeconds();
 
   // Guarantee bookkeeping. The own-locations P̃ shortcut weakens the
   // median factor to 2 (see bounds.h); the Euclidean Weiszfeld P̃ and

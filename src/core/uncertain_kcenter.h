@@ -62,19 +62,6 @@ struct UncertainKCenterOptions {
   Deadline deadline;
 };
 
-/// Timing breakdown of one pipeline run, in seconds.
-struct PipelineTimings {
-  double surrogate_seconds = 0.0;
-  double clustering_seconds = 0.0;
-  double assignment_seconds = 0.0;
-  double evaluation_seconds = 0.0;
-
-  double TotalSeconds() const {
-    return surrogate_seconds + clustering_seconds + assignment_seconds +
-           evaluation_seconds;
-  }
-};
-
 /// Full output of the pipeline.
 struct UncertainKCenterSolution {
   /// The k chosen centers (site ids in the dataset's space).
@@ -96,13 +83,15 @@ struct UncertainKCenterSolution {
   /// Theorem-certified guarantees for this configuration (may be empty
   /// for baseline configurations).
   std::vector<BoundClaim> bounds;
-  PipelineTimings timings;
 };
 
 /// Runs the pipeline. The dataset is mutated only by minting surrogate
 /// sites into its (Euclidean) space; the uncertain points themselves
 /// are untouched. Fails on invalid configurations, e.g. the EP rule or
-/// P̄ surrogate on a non-Euclidean dataset, or k == 0.
+/// P̄ surrogate on a non-Euclidean dataset, or k == 0. The wall time of
+/// each stage is observed into the default registry's histogram
+/// `ukc_solve_stage_seconds{stage=surrogate|cluster|assign|evaluate}`
+/// (obs/metrics.h); readers take it from a registry snapshot.
 Result<UncertainKCenterSolution> SolveUncertainKCenter(
     uncertain::UncertainDataset* dataset, const UncertainKCenterOptions& options);
 

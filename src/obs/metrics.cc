@@ -110,6 +110,12 @@ uint64_t RegistrySnapshot::CounterTotal(std::string_view name) const {
   return total;
 }
 
+double RegistrySnapshot::HistogramSum(std::string_view name,
+                                      LabelList labels) const {
+  const MetricSnapshot* metric = Find(name, std::move(labels));
+  return metric != nullptr ? metric->histogram.sum : 0.0;
+}
+
 HistogramSnapshot RegistrySnapshot::HistogramTotal(
     std::string_view name) const {
   HistogramSnapshot total;

@@ -125,6 +125,9 @@ struct RegistrySnapshot {
   const MetricSnapshot* Find(std::string_view name, LabelList labels) const;
   /// Sum of counter_value over every label set of `name`.
   uint64_t CounterTotal(std::string_view name) const;
+  /// Observed-value sum of the histogram with exactly these labels; 0
+  /// when absent (always, under UKC_OBS=OFF: its snapshots are empty).
+  double HistogramSum(std::string_view name, LabelList labels) const;
   /// Merge of every histogram label set of `name` (empty when none).
   HistogramSnapshot HistogramTotal(std::string_view name) const;
 };
@@ -197,8 +200,6 @@ class Gauge {
 class Histogram {
  public:
   void Observe(double value);
-  /// Observe seconds-scale durations; sugar for stage timers.
-  void ObserveSeconds(double seconds) { Observe(seconds); }
 
   HistogramSnapshot Snapshot() const;
 
@@ -302,7 +303,6 @@ class Gauge {
 class Histogram {
  public:
   void Observe(double) {}
-  void ObserveSeconds(double) {}
   HistogramSnapshot Snapshot() const { return {}; }
   const std::vector<double>& bounds() const { return LatencyBuckets(); }
 };

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "common/retry.h"
-#include "common/stopwatch.h"
 #include "common/strings.h"
 #include "cost/expected_cost_evaluator.h"
 #include "metric/euclidean_space.h"
@@ -367,7 +366,6 @@ Result<StreamingSolution> StreamingUncertainKCenter::Solve(
   UKC_OBS_SPAN("stream.solve");
   StreamingSolution solution;
   solution.dim = dim;
-  Stopwatch stopwatch;
 
   // Pass 1: sharded coreset build (checkpoint-aware — restore, resume
   // and cadenced saves all live inside IngestCoreset).
@@ -382,11 +380,9 @@ Result<StreamingSolution> StreamingUncertainKCenter::Solve(
   solution.coreset_max_spread = coreset.max_spread();
   solution.coreset_error_bound = coreset.error_bound();
   solution.coreset_memory_bytes = coreset.ApproxMemoryBytes();
-  solution.timings.ingest_seconds = stopwatch.ElapsedSeconds();
 
   // Solve on the coreset instance through the existing pipeline,
   // sharing this run's worker pool.
-  stopwatch.Reset();
   solution.k = std::min(options_.k, cells.size());
   UKC_ASSIGN_OR_RETURN(
       RepresentativeSolution coreset_solution,
@@ -395,7 +391,6 @@ Result<StreamingSolution> StreamingUncertainKCenter::Solve(
   solution.coreset_cost = coreset_solution.cost;
   solution.coreset_radius = coreset_solution.radius;
   solution.center_coords = std::move(coreset_solution.center_coords);
-  solution.timings.solve_seconds = stopwatch.ElapsedSeconds();
 
   if (!options_.verify) return solution;
 
@@ -404,7 +399,6 @@ Result<StreamingSolution> StreamingUncertainKCenter::Solve(
   //   d(rep, nearest center) + diameter + 2 · spread
   // of its ED-assigned center (stream/coreset.h contract plus norm
   // convexity), so the integrand vanishes above it.
-  stopwatch.Reset();
   UKC_ASSIGN_OR_RETURN(
       const double rep_radius,
       RepresentativeRadius(cells, dim, coreset.norm(),
@@ -430,7 +424,6 @@ Result<StreamingSolution> StreamingUncertainKCenter::Solve(
   solution.verified_lower = outcome.lower;
   solution.verified_upper = outcome.upper;
   solution.max_expected_distance = outcome.max_expected;
-  solution.timings.verify_seconds = stopwatch.ElapsedSeconds();
   return solution;
 }
 

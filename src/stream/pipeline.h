@@ -15,6 +15,10 @@
 //      verified_upper] of the TRUE exact expected assigned cost
 //      E[max_i d(P̂_i, A(i))] in O(verify_buckets) memory.
 //
+// Stage wall times live in the default metrics registry as the trace
+// spans `stream.solve` (the whole call), `stream.solve.stream.ingest`
+// and `stream.solve.stream.verify` (histogram ukc_span_seconds).
+//
 // Determinism: the coreset is bitwise partition-invariant
 // (stream/coreset.h), the solve consumes only the extracted cells (a
 // deterministic order), and the verification grid is accumulated with
@@ -110,15 +114,6 @@ struct StreamingSolution {
   double verified_exact = std::nan("");
 
   IngestStats ingest_stats;
-
-  struct Timings {
-    double ingest_seconds = 0.0;
-    double solve_seconds = 0.0;
-    double verify_seconds = 0.0;
-    double TotalSeconds() const {
-      return ingest_seconds + solve_seconds + verify_seconds;
-    }
-  } timings;
 };
 
 /// The surrogate pipeline run on coreset cell representatives, shared

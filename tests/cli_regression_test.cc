@@ -11,8 +11,12 @@
 //   - --serve --window drives the sliding-window serving path and
 //     reports the expiry counters.
 //   - Out-of-range generator flags (negative sizes, k < 1, zero n/z/dim,
-//     negative spread) fail with an INVALID_ARGUMENT status and exit 1
-//     instead of aborting the process.
+//     negative spread) and --threads / --retry-attempts values outside
+//     their int range fail with an INVALID_ARGUMENT status and exit 1
+//     instead of aborting the process or silently running a wrapped
+//     value.
+//   - The report's stage rows and the --metrics-out export read the
+//     per-stage times from the metrics registry, even at --threads 1.
 
 #include <gtest/gtest.h>
 
@@ -21,6 +25,8 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+
+#include "obs/metrics.h"
 
 #ifndef UKC_CLI_BIN
 #error "UKC_CLI_BIN must be defined to the built ukc_cli path"
@@ -90,7 +96,11 @@ TEST(CliRegressionTest, MetricsOutWritesJsonOrPrometheusByExtension) {
   std::stringstream json_text;
   json_text << json_file.rdbuf();
   EXPECT_EQ(json_text.str().rfind("{\"metrics\":", 0), 0u) << json_text.str();
-  EXPECT_NE(json_text.str().find("ukc_serve"), std::string::npos);
+  if (obs::kEnabled) {
+    EXPECT_NE(json_text.str().find("ukc_serve"), std::string::npos);
+  } else {
+    EXPECT_EQ(json_text.str(), "{\"metrics\":[]}");
+  }
 
   const auto prom_run =
       RunCli(std::string(kTinyServeRun) + " --metrics-out " + prom_path);
@@ -99,11 +109,50 @@ TEST(CliRegressionTest, MetricsOutWritesJsonOrPrometheusByExtension) {
   ASSERT_TRUE(prom_file.good());
   std::stringstream prom_text;
   prom_text << prom_file.rdbuf();
-  EXPECT_NE(prom_text.str().find("# TYPE"), std::string::npos)
-      << prom_text.str();
+  if (obs::kEnabled) {
+    EXPECT_NE(prom_text.str().find("# TYPE"), std::string::npos)
+        << prom_text.str();
+  } else {
+    EXPECT_EQ(prom_text.str().rfind("# ukc observability compiled out", 0),
+              0u)
+        << prom_text.str();
+  }
 
   std::remove(json_path.c_str());
   std::remove(prom_path.c_str());
+}
+
+TEST(CliRegressionTest, StageTimesAreReadFromTheRegistry) {
+  if (!obs::kEnabled) GTEST_SKIP() << "built with UKC_OBS=OFF";
+  const std::string prom_path = TempPath("cli_stages.prom");
+  std::remove(prom_path.c_str());
+  const auto batch = RunCli(
+      "--generate clustered --n 200 --z 2 --dim 2 --k 4 --threads 1 "
+      "--unassigned --metrics-out " + prom_path);
+  EXPECT_EQ(batch.exit_code, 0) << batch.output;
+  std::ifstream prom_file(prom_path);
+  ASSERT_TRUE(prom_file.good());
+  std::stringstream prom_text;
+  prom_text << prom_file.rdbuf();
+  for (const char* stage : {"surrogate", "cluster", "assign", "evaluate"}) {
+    const std::string series = std::string("ukc_solve_stage_seconds_count") +
+                               "{stage=\"" + stage + "\"} 1\n";
+    EXPECT_NE(prom_text.str().find(series), std::string::npos)
+        << series << prom_text.str();
+  }
+  for (const char* row :
+       {"surrogate ms", "clustering ms", "assignment ms", "evaluation ms"}) {
+    EXPECT_NE(batch.output.find(row), std::string::npos) << batch.output;
+  }
+  std::remove(prom_path.c_str());
+
+  const auto stream = RunCli(
+      "--stream --generate clustered --n 200 --z 2 --dim 2 --k 4 "
+      "--threads 1");
+  EXPECT_EQ(stream.exit_code, 0) << stream.output;
+  for (const char* row : {"ingest ms", "solve ms", "verify ms"}) {
+    EXPECT_NE(stream.output.find(row), std::string::npos) << stream.output;
+  }
 }
 
 TEST(CliRegressionTest, ServeWindowDrivesExpiryAndReportsIt) {
@@ -124,6 +173,9 @@ TEST(CliRegressionTest, OutOfRangeGeneratorFlagsFailWithInvalidArgument) {
   const char* const kBadFlags[] = {
       "--k -1", "--n -5", "--z -1", "--dim -2",
       "--z 0",  "--dim 0", "--spread -1",
+      // Values that wrapped to 1 / -1 in the int casts behind them.
+      "--threads 4294967297", "--threads -4294967297",
+      "--retry-attempts 4294967297",
   };
   for (const char* flags : kBadFlags) {
     const auto result = RunCli(

@@ -250,16 +250,6 @@ TEST(StopwatchTest, MeasuresNonNegativeTime) {
   Stopwatch stopwatch;
   EXPECT_GE(stopwatch.ElapsedSeconds(), 0.0);
   EXPECT_GE(stopwatch.ElapsedMillis(), 0.0);
-  EXPECT_GE(stopwatch.ElapsedMicros(), 0.0);
-}
-
-TEST(StopwatchTest, ResetRestarts) {
-  Stopwatch stopwatch;
-  volatile double sink = 0.0;
-  for (int i = 0; i < 100000; ++i) sink = sink + 1.0;
-  const double before = stopwatch.ElapsedSeconds();
-  stopwatch.Reset();
-  EXPECT_LE(stopwatch.ElapsedSeconds(), before + 1.0);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Tests for the UncertainKCenter facade: configuration handling, bound
-// metadata, timings, and cross-configuration consistency.
+// metadata, stage timers, and cross-configuration consistency.
 
 #include "core/uncertain_kcenter.h"
 
@@ -8,6 +8,7 @@
 #include <cmath>
 
 #include "cost/expected_cost.h"
+#include "obs/metrics.h"
 #include "uncertain/generators.h"
 
 namespace ukc {
@@ -174,18 +175,25 @@ TEST(FacadeTest, RefinedSolverImprovesOrMatchesGonzalez) {
   EXPECT_LE(refined->certain_radius, greedy->certain_radius + 1e-12);
 }
 
-TEST(FacadeTest, TimingsArePopulated) {
+TEST(FacadeTest, EachCallObservesEveryStageOnce) {
+  if (!obs::kEnabled) GTEST_SKIP() << "built with UKC_OBS=OFF";
   UncertainDataset dataset = Euclidean(11);
   UncertainKCenterOptions options;
   options.k = 3;
-  auto solution = SolveUncertainKCenter(&dataset, options);
-  ASSERT_TRUE(solution.ok());
-  EXPECT_GE(solution->timings.surrogate_seconds, 0.0);
-  EXPECT_GE(solution->timings.clustering_seconds, 0.0);
-  EXPECT_GE(solution->timings.assignment_seconds, 0.0);
-  EXPECT_GE(solution->timings.evaluation_seconds, 0.0);
-  EXPECT_GE(solution->timings.TotalSeconds(),
-            solution->timings.evaluation_seconds);
+  const auto stage_count = [](const obs::RegistrySnapshot& snapshot,
+                              const char* stage) -> uint64_t {
+    const obs::MetricSnapshot* series =
+        snapshot.Find("ukc_solve_stage_seconds", {{"stage", stage}});
+    return series != nullptr ? series->histogram.count : 0;
+  };
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
+  const obs::RegistrySnapshot before = registry.Snapshot();
+  ASSERT_TRUE(SolveUncertainKCenter(&dataset, options).ok());
+  const obs::RegistrySnapshot after = registry.Snapshot();
+  for (const char* stage : {"surrogate", "cluster", "assign", "evaluate"}) {
+    EXPECT_EQ(stage_count(after, stage), stage_count(before, stage) + 1)
+        << stage;
+  }
 }
 
 TEST(FacadeTest, KLargerThanNStillWorks) {
