@@ -132,20 +132,19 @@ void BM_ExactExpectedCost(benchmark::State& state) {
 }
 BENCHMARK(BM_ExactExpectedCost)->Arg(1000)->Arg(4000)->Arg(10000)->Arg(16000);
 
-// The single exact sweep at scale: an evaluator with no sweep_pool (the
-// serial sort-sweep) vs one borrowing a hardware-thread pool, which
-// routes sweeps of at least cost::kSegmentedSweepMinEvents events
-// through the segmented engine (parallel radix + per-variable CDF
-// trajectories + ordered serial combine). Outputs are bitwise identical
-// either way (tests/parallel_sweep_test.cc).
-void ExactSweepAtScale(benchmark::State& state, bool parallel) {
+// The single exact sweep at scale — the threshold-filtered sweep of
+// UnassignedCost (k = 8) — with its fill and per-variable phase
+// sharded over a pool of state.range(1) threads (1 = serial). Outputs
+// are bitwise identical at every pool size
+// (tests/parallel_sweep_test.cc).
+void BM_ExactSweep(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   auto dataset = MakeDataset(n);
   const auto sites = dataset.LocationSites();
   auto centers = solver::Gonzalez(dataset.space(), sites, 8);
-  ThreadPool pool(parallel ? 0 : 1);
+  ThreadPool pool(static_cast<int>(state.range(1)));
   cost::ExpectedCostEvaluator::Options options;
-  options.sweep_pool = parallel ? &pool : nullptr;
+  options.sweep_pool = &pool;
   cost::ExpectedCostEvaluator evaluator(options);
   for (auto _ : state) {
     auto value = evaluator.UnassignedCost(dataset, centers->centers);
@@ -155,23 +154,8 @@ void ExactSweepAtScale(benchmark::State& state, bool parallel) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(dataset.total_locations()));
 }
-
-void BM_ExactSweepSerial(benchmark::State& state) {
-  ExactSweepAtScale(state, /*parallel=*/false);
-}
-BENCHMARK(BM_ExactSweepSerial)
-    ->Arg(10000)
-    ->Arg(100000)
-    ->Arg(1000000)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_ExactSweepParallel(benchmark::State& state) {
-  ExactSweepAtScale(state, /*parallel=*/true);
-}
-BENCHMARK(BM_ExactSweepParallel)
-    ->Arg(10000)
-    ->Arg(100000)
-    ->Arg(1000000)
+BENCHMARK(BM_ExactSweep)
+    ->ArgsProduct({{10000, 100000, 1000000}, {1, 4}})
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

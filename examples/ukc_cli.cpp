@@ -55,8 +55,8 @@
 //   --deadline-checks  per-query deterministic check budget (0 = off;
 //                      overrides --deadline-us — the reproducible form)
 //
-//   build/examples/ukc_cli --serve --serve-tenants=4 --serve-ops=2000 \
-//       --serve-snapshot-dir=/tmp/ukc --deadline-us=5000
+//   build/examples/ukc_cli --serve --serve-tenants=4 --serve-ops=2000
+//       --serve-snapshot-dir=/tmp/ukc --deadline-us=5000   (one line)
 
 #include <algorithm>
 #include <cerrno>

@@ -150,7 +150,7 @@ Result<UncertainKCenterSolution> SolveUncertainKCenter(
   }
 
   // 4. Exact evaluation (one evaluator shares scratch across both
-  // objectives; its segmented sweep borrows the run's shared pool).
+  // objectives; its sweep shards over the run's shared pool).
   {
     UKC_OBS_TIMER(StageHistograms().evaluate);
     cost::ExpectedCostEvaluator::Options evaluator_options;

@@ -6,9 +6,14 @@
 // Because the uncertain points are independent and each point's cost is
 // a function of its own realization only, the max is over *independent*
 // discrete random variables, and the expectation is computed *exactly*
-// in O(N log N) for N = Σ_i z_i by sweeping the value axis:
+// in O(N + T log T) for N = Σ_i z_i by sweeping the value axis:
 //
 //   E[max_i X_i] = Σ_v v · ( Π_i F_i(v) − Π_i F_i(v^-) )
+//
+// Below L = max_i min X_i some F_i is 0, so no mass is emitted there:
+// the sweep adds each variable's values <= L straight into its CDF and
+// sorts only the T values above L (the arithmetic order is spelled out
+// in expected_cost_evaluator.h).
 //
 // A naive enumeration of all Π z_i realizations (the formula as written
 // in the paper) is exponential; it is provided as BruteForce* for
@@ -37,8 +42,9 @@
 namespace ukc {
 namespace cost {
 
-/// Exact E[max_i X_i] for independent discrete X_i. O(N log N) in the
-/// total support size N. Takes the distributions by const reference —
+/// Exact E[max_i X_i] for independent discrete X_i. O(N + T log T) in
+/// the total support size N and the T support values above
+/// L = max_i min X_i. Takes the distributions by const reference —
 /// nothing is copied.
 double ExpectedMaxOfIndependent(
     const std::vector<DiscreteDistribution>& distributions);

@@ -11,7 +11,6 @@
 #include "common/strings.h"
 #include "metric/euclidean_space.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "uncertain/sampler.h"
 
 namespace ukc {
@@ -70,53 +69,117 @@ inline uint64_t OrderedBits(double v) {
 // (four 65536-entry histograms).
 constexpr size_t kRadixSortCutover = 2048;
 
-// Running P = Π_{F_i > 0} F_i over the sweep, as a mantissa/exponent
-// pair renormalized lazily when the mantissa leaves [2^-16, 2^16):
-// power-of-two scaling is exact, so lazy renormalization changes no
-// bits, and the pair cannot underflow the way a plain double product
-// over many small CDFs would. The band is kept narrow so that even a
-// pathological new/old ratio (old as small as ~1e-290 still satisfies
-// Build's p > 0) multiplies a mantissa ≤ 2^16 and stays finite. The
-// unclamped ratio keeps the telescoping exact even when round-off
-// pushes a final CDF past 1. All four sweep variants (full sort-sweep,
-// swap-base snapshot, the snapshot pre-application, and the tail
-// merge) share this.
+// Supports up to this size are put in order by branch-free ranking,
+// larger ones by std::sort.
+constexpr size_t kRankedSupportMax = 16;
+
+// The probabilities of one variable's `count` events — values[j] and
+// probabilities[j] in location order — summed in (value, location)
+// order, starting from 0.0. `order` is scratch for large supports.
+double SumInValueOrder(const double* values, const double* probabilities,
+                       size_t count,
+                       std::vector<std::pair<double, size_t>>* order) {
+  double cdf = 0.0;
+  if (count <= kRankedSupportMax) {
+    // Event j lands at rank #{k : (v_k, k) < (v_j, j)}. (Cleared first:
+    // a NaN value breaks the ranking into a non-permutation.)
+    double ordered[kRankedSupportMax];
+    std::fill_n(ordered, count, 0.0);
+    for (size_t j = 0; j < count; ++j) {
+      size_t rank = 0;
+      for (size_t k = 0; k < count; ++k) {
+        rank += static_cast<size_t>(values[k] < values[j]) |
+                (static_cast<size_t>(values[k] == values[j]) &
+                 static_cast<size_t>(k < j));
+      }
+      ordered[rank] = probabilities[j];
+    }
+    for (size_t j = 0; j < count; ++j) cdf += ordered[j];
+    return cdf;
+  }
+  order->clear();
+  for (size_t j = 0; j < count; ++j) order->emplace_back(values[j], j);
+  std::sort(order->begin(), order->end());
+  for (const auto& [value, j] : *order) cdf += probabilities[j];
+  return cdf;
+}
+
+// The (value, location) order every sweep applies events in.
+inline bool EventBefore(const ExpectedCostEvaluator::Event& a,
+                        const ExpectedCostEvaluator::Event& b) {
+  return a.value != b.value ? a.value < b.value : a.location < b.location;
+}
+
+// Running Π F_i as a ScaledProduct, renormalized lazily when the
+// mantissa leaves [2^-16, 2^16): power-of-two scaling is exact, so lazy
+// renormalization changes no bits. The band is kept narrow so that
+// even a pathological factor (a new/old ratio with old as small as
+// ~1e-290, or a block product near 2^16) multiplies a mantissa < 2^16
+// and stays finite. The unclamped ratio keeps the telescoping exact
+// even when round-off pushes a final CDF past 1.
 struct CdfProduct {
-  size_t zeros;  // Variables still at F_i = 0 (product reads as 0).
-  double mantissa = 1.0;
-  int exponent = 0;
+  ScaledProduct scaled;
 
-  explicit CdfProduct(size_t variables) : zeros(variables) {}
-
-  /// Folds one CDF step of a variable: old -> new (new > old >= 0).
-  void Apply(double old_cdf, double new_cdf) {
-    if (old_cdf == 0.0) {
-      ApplyRatio(/*from_zero=*/true, new_cdf);
-    } else {
-      ApplyRatio(/*from_zero=*/false, new_cdf / old_cdf);
-    }
-  }
-
-  /// The primitive Apply reduces to, shared with the segmented sweep's
-  /// combine (which precomputes the ratios in parallel): one multiply
-  /// plus the lazy renormalization. Keeping both paths on this exact
-  /// arithmetic is what makes the segmented sweep bitwise identical to
-  /// the serial scan.
-  void ApplyRatio(bool from_zero, double ratio) {
-    if (from_zero) --zeros;
-    mantissa *= ratio;
-    if (mantissa < 0x1p-16 || mantissa >= 0x1p16) {
+  void Multiply(double factor) {
+    scaled.mantissa *= factor;
+    if (scaled.mantissa < 0x1p-16 || scaled.mantissa >= 0x1p16) {
       int shift;
-      mantissa = std::frexp(mantissa, &shift);
-      exponent += shift;
+      scaled.mantissa = std::frexp(scaled.mantissa, &shift);
+      scaled.exponent += shift;
     }
   }
 
-  /// Π F_i, or 0 while some variable's CDF is still empty.
-  double Value() const {
-    return zeros > 0 ? 0.0 : std::ldexp(mantissa, exponent);
-  }
+  /// Folds one CDF step of a variable above the emission start: old ->
+  /// new (new > old > 0).
+  void Apply(double old_cdf, double new_cdf) { Multiply(new_cdf / old_cdf); }
+
+  double Value() const { return std::ldexp(scaled.mantissa, scaled.exponent); }
 };
+
+// The canonical fold of kCdfProductBlock-variable block `block` of
+// `cdf`: Π of its nonzero CDFs, left to right.
+ScaledProduct FoldCdfBlock(std::span<const double> cdf, size_t block) {
+  const size_t end = std::min(cdf.size(), (block + 1) * kCdfProductBlock);
+  CdfProduct product;
+  for (size_t i = block * kCdfProductBlock; i < end; ++i) {
+    if (cdf[i] != 0.0) product.Multiply(cdf[i]);
+  }
+  return product.scaled;
+}
+
+// The canonical fold across blocks, left to right: Π F_i at the
+// emission start when every block is folded from all-positive CDFs.
+CdfProduct FoldBlockProducts(std::span<const ScaledProduct> blocks) {
+  CdfProduct product;
+  for (const ScaledProduct& block : blocks) {
+    product.scaled.exponent += block.exponent;
+    product.Multiply(block.mantissa);
+  }
+  return product;
+}
+
+size_t NumBlocks(size_t variables) {
+  return (variables + kCdfProductBlock - 1) / kCdfProductBlock;
+}
+
+// Handles of the fresh-sweep counters, resolved once per process.
+struct SweepCounters {
+  obs::Counter* events;
+  obs::Counter* tail;
+};
+
+const SweepCounters& SweepCountersHandles() {
+  static const SweepCounters counters = [] {
+    obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
+    return SweepCounters{
+        registry.GetCounter("ukc_sweep_events_total",
+                            "Events of fresh exact sweeps"),
+        registry.GetCounter("ukc_sweep_tail_events_total",
+                            "Fresh exact-sweep events above the emission "
+                            "start L, the only ones sorted")};
+  }();
+  return counters;
+}
 
 }  // namespace
 
@@ -125,245 +188,162 @@ void ExpectedCostEvaluator::SortEventsByValue() {
   if (count < kRadixSortCutover) {
     // The (value, location) tiebreak spells out what the stable radix
     // below does implicitly (every fill writes ascending locations), so
-    // the two regimes — and the segmented engine's parallel radix —
-    // produce one permutation.
-    std::sort(events_.begin(), events_.end(),
-              [](const Event& a, const Event& b) {
-                return a.value != b.value ? a.value < b.value
-                                          : a.location < b.location;
-              });
+    // the two regimes produce one permutation.
+    std::sort(events_.begin(), events_.end(), EventBefore);
     return;
   }
-  RadixSortEventsByValue(/*pool=*/nullptr, /*track_positions=*/false);
-}
-
-void ExpectedCostEvaluator::RadixSortEventsByValue(ThreadPool* pool,
-                                                   bool track_positions) {
-  const size_t count = events_.size();
-  if (track_positions) {
-    perm_.resize(count);
-    for (size_t i = 0; i < count; ++i) perm_[i] = static_cast<uint32_t>(i);
-    perm_scratch_.resize(count);
-  }
-  if (count <= 1) return;
   constexpr int kPasses = 4;
   constexpr size_t kBuckets = 65536;
-  const size_t shards =
-      pool != nullptr ? static_cast<size_t>(pool->num_threads()) : 1;
-  events_scratch_.resize(count);
-  const auto run_phase = [&](const auto& fn) {
-    if (pool != nullptr && shards > 1) {
-      pool->ParallelFor(shards, [&fn](int, size_t s) { fn(s); });
-    } else {
-      for (size_t s = 0; s < shards; ++s) fn(s);
+  radix_counts_.assign(kPasses * kBuckets, 0);
+  for (const Event& event : events_) {
+    const uint64_t key = OrderedBits(event.value);
+    for (int p = 0; p < kPasses; ++p) {
+      ++radix_counts_[p * kBuckets + ((key >> (16 * p)) & 0xFFFF)];
     }
-  };
-  const auto shard_begin = [&](size_t s) { return count * s / shards; };
-
-  // Per-shard histograms of every pass over the initial arrangement.
-  // The per-pass TOTALS are arrangement-invariant (they only count
-  // digits), so the skip decision below stays valid across scatters;
-  // the per-shard splits go stale after the first scatter and are
-  // recomputed per remaining pass.
-  shard_counts_.assign(shards * kPasses * kBuckets, 0);
-  run_phase([&](size_t s) {
-    uint32_t* counts = shard_counts_.data() + s * kPasses * kBuckets;
-    const size_t end = shard_begin(s + 1);
-    for (size_t i = shard_begin(s); i < end; ++i) {
-      const uint64_t key = OrderedBits(events_[i].value);
-      for (int p = 0; p < kPasses; ++p) {
-        ++counts[p * kBuckets + ((key >> (16 * p)) & 0xFFFF)];
-      }
-    }
-  });
-  // Per-pass totals for the skip decision. A single shard's histogram
-  // is the total: a pass reads its slice before its own prefix rewrites
-  // it, so the unsharded sort keeps one histogram array.
-  const uint32_t* totals = shard_counts_.data();
-  if (shards > 1) {
-    radix_counts_.assign(kPasses * kBuckets, 0);
-    for (size_t s = 0; s < shards; ++s) {
-      const uint32_t* counts = shard_counts_.data() + s * kPasses * kBuckets;
-      for (size_t b = 0; b < kPasses * kBuckets; ++b) {
-        radix_counts_[b] += counts[b];
-      }
-    }
-    totals = radix_counts_.data();
   }
-
+  // The per-pass histograms only count digits, so they stay valid
+  // across scatters; a pass reads its slice before its prefix rewrites
+  // it.
+  events_scratch_.resize(count);
   Event* src = events_.data();
   Event* dst = events_scratch_.data();
-  uint32_t* psrc = track_positions ? perm_.data() : nullptr;
-  uint32_t* pdst = track_positions ? perm_scratch_.data() : nullptr;
   bool swapped = false;
-  bool scattered = false;
   for (int p = 0; p < kPasses; ++p) {
-    const uint32_t* total = totals + p * kBuckets;
+    uint32_t* offsets = radix_counts_.data() + p * kBuckets;
     const uint64_t first_digit = (OrderedBits(src[0].value) >> (16 * p)) & 0xFFFF;
-    if (total[first_digit] == count) continue;  // All keys share this digit.
-    if (scattered && shards > 1) {
-      run_phase([&](size_t s) {
-        uint32_t* counts = shard_counts_.data() + (s * kPasses + p) * kBuckets;
-        std::fill(counts, counts + kBuckets, 0);
-        const size_t end = shard_begin(s + 1);
-        for (size_t i = shard_begin(s); i < end; ++i) {
-          ++counts[(OrderedBits(src[i].value) >> (16 * p)) & 0xFFFF];
-        }
-      });
-    }
-    // Exact serial prefix over the combined histograms in (bucket,
-    // shard) order: shard s's slice of bucket b starts after every
-    // smaller bucket and after shards < s within b — precisely where
-    // the serial stable scatter would have put those elements, so the
-    // parallel result is bitwise identical at every shard count.
+    if (offsets[first_digit] == count) continue;  // All keys share this digit.
     uint32_t running = 0;
     for (size_t b = 0; b < kBuckets; ++b) {
-      for (size_t s = 0; s < shards; ++s) {
-        uint32_t* slot = shard_counts_.data() + (s * kPasses + p) * kBuckets + b;
-        const uint32_t c = *slot;
-        *slot = running;
-        running += c;
-      }
+      const uint32_t c = offsets[b];
+      offsets[b] = running;
+      running += c;
     }
-    run_phase([&](size_t s) {
-      uint32_t* off = shard_counts_.data() + (s * kPasses + p) * kBuckets;
-      const size_t end = shard_begin(s + 1);
-      for (size_t i = shard_begin(s); i < end; ++i) {
-        const uint64_t digit = (OrderedBits(src[i].value) >> (16 * p)) & 0xFFFF;
-        const uint32_t slot = off[digit]++;
-        dst[slot] = src[i];
-        if (psrc != nullptr) pdst[slot] = psrc[i];
-      }
-    });
+    for (size_t i = 0; i < count; ++i) {
+      dst[offsets[(OrderedBits(src[i].value) >> (16 * p)) & 0xFFFF]++] = src[i];
+    }
     std::swap(src, dst);
-    if (track_positions) std::swap(psrc, pdst);
     swapped = !swapped;
-    scattered = true;
   }
-  if (swapped) {
-    events_.swap(events_scratch_);
-    if (track_positions) perm_.swap(perm_scratch_);
-  }
+  if (swapped) events_.swap(events_scratch_);
 }
 
-double ExpectedCostEvaluator::SweepEventsSegmented(
-    size_t num_variables, std::span<const size_t> var_offsets) {
-  const size_t count = events_.size();
-  UKC_CHECK_EQ(var_offsets.size(), num_variables + 1);
-  UKC_CHECK_EQ(var_offsets[num_variables], count);
-  ThreadPool* pool = SweepPool();
-  const size_t shards =
-      pool != nullptr ? static_cast<size_t>(pool->num_threads()) : 1;
-  const auto run_phase = [&](const auto& fn) {
-    if (pool != nullptr && shards > 1) {
-      pool->ParallelFor(shards, [&fn](int, size_t s) { fn(s); });
+template <typename Fill>
+double ExpectedCostEvaluator::FilteredSweep(std::span<const size_t> offsets,
+                                            const double* probabilities,
+                                            const Fill& fill) {
+  UKC_CHECK_GT(offsets.size(), 1u);
+  const size_t n = offsets.size() - 1;
+  const size_t total = offsets[n];
+  const size_t num_blocks = NumBlocks(n);
+  ThreadPool* pool = options_.sweep_pool;
+  const size_t shard_count =
+      pool != nullptr
+          ? std::min(static_cast<size_t>(pool->num_threads()), num_blocks)
+          : 1;
+  if (shards_.size() < shard_count) shards_.resize(shard_count);
+  dist_.resize(total);
+  cdf_.resize(n);
+  last_.resize(n);
+  blocks_.resize(num_blocks);
+  // Shard s owns the whole blocks [num_blocks·s/S, num_blocks·(s+1)/S)
+  // and writes only their variables' slots.
+  const auto run_shards = [&](const auto& fn) {
+    if (shard_count > 1) {
+      pool->ParallelFor(shard_count, [&](int, size_t s) {
+        fn(s, num_blocks * s / shard_count, num_blocks * (s + 1) / shard_count);
+      });
     } else {
-      for (size_t s = 0; s < shards; ++s) fn(s);
+      fn(0, 0, num_blocks);
     }
   };
-  // Phase timers land in ukc_sweep_phase_seconds{phase=}; handles come
-  // off the default registry per sweep (one mutex-guarded lookup per
-  // phase, amortized over the whole segmented pass — this path only
-  // engages above the segmented-sweep event threshold).
-  [[maybe_unused]] obs::MetricsRegistry& obs_registry =
-      obs::MetricsRegistry::Default();
-  [[maybe_unused]] const char* phase_name = "ukc_sweep_phase_seconds";
-  [[maybe_unused]] const char* phase_help =
-      "Segmented exact-sweep phase wall time";
+  const auto block_end = [n](size_t block) {
+    return std::min(n, (block + 1) * kCdfProductBlock);
+  };
 
-  // Phase 1: stable parallel radix by value, tracking where each
-  // pre-sort event landed.
-  {
-    UKC_OBS_TIMER(
-        obs_registry.GetHistogram(phase_name, phase_help, {{"phase", "radix"}}));
-    RadixSortEventsByValue(pool, /*track_positions=*/true);
-  }
-
-  // Phase 2: invert the permutation (disjoint writes; perm_ is a
-  // bijection).
-  inv_.resize(count);
-  {
-    UKC_OBS_TIMER(obs_registry.GetHistogram(phase_name, phase_help,
-                                            {{"phase", "invert"}}));
-    run_phase([&](size_t s) {
-      const size_t begin = count * s / shards;
-      const size_t end = count * (s + 1) / shards;
-      for (size_t e = begin; e < end; ++e) inv_[perm_[e]] = static_cast<uint32_t>(e);
-    });
-  }
-
-  // Phase 3: per-variable CDF trajectories over variable segments. A
-  // variable's sorted positions ascend exactly in its serial
-  // application order (stable sort), so walking them ascending
-  // reproduces the serial per-variable chain old -> old + p bit for
-  // bit; each step is stored as the product ratio Apply would multiply
-  // by. Variables are disjoint, so segments need no cross-talk.
-  ratio_.resize(count);
-  ratio_zero_.resize(count);
-  {
-    UKC_OBS_TIMER(
-        obs_registry.GetHistogram(phase_name, phase_help, {{"phase", "cdf"}}));
-    run_phase([&](size_t s) {
-      const size_t var_begin = num_variables * s / shards;
-      const size_t var_end = num_variables * (s + 1) / shards;
-      std::vector<uint32_t> order;
-      for (size_t v = var_begin; v < var_end; ++v) {
-        order.clear();
-        for (size_t l = var_offsets[v]; l < var_offsets[v + 1]; ++l) {
-          order.push_back(inv_[l]);
+  // Phase 1, a block at a time while its distances are in cache: the
+  // fill, each variable's full CDF in (value, location) order and
+  // largest value, the block's canonical fold, and the shard's largest
+  // per-variable minimum. A variable whose largest value is <= L
+  // already holds F_i(L).
+  run_shards([&](size_t s, size_t b_begin, size_t b_end) {
+    SweepShard& shard = shards_[s];
+    double max_first = -std::numeric_limits<double>::infinity();
+    for (size_t block = b_begin; block < b_end; ++block) {
+      const size_t v_begin = block * kCdfProductBlock;
+      const size_t v_end = block_end(block);
+      fill(v_begin, v_end);
+      for (size_t i = v_begin; i < v_end; ++i) {
+        const size_t l_begin = offsets[i];
+        const size_t count = offsets[i + 1] - l_begin;
+        const double* values = dist_.data() + l_begin;
+        double first = values[0];
+        double last = values[0];
+        for (size_t j = 1; j < count; ++j) {
+          first = std::min(first, values[j]);
+          last = std::max(last, values[j]);
         }
-        std::sort(order.begin(), order.end());
-        double cdf = 0.0;
-        for (const uint32_t g : order) {
-          const double next = cdf + events_[g].probability;
-          ratio_zero_[g] = cdf == 0.0;
-          ratio_[g] = cdf == 0.0 ? next : next / cdf;
-          cdf = next;
-        }
+        max_first = std::max(max_first, first);
+        last_[i] = last;
+        cdf_[i] = SumInValueOrder(values, probabilities + l_begin, count,
+                                  &shard.order);
       }
-    });
+      blocks_[block] = FoldCdfBlock(cdf_, block);
+    }
+    shard.max_first = max_first;
+  });
+  // max is exact, so the shard order cannot change L.
+  double emission_start = -std::numeric_limits<double>::infinity();
+  for (size_t s = 0; s < shard_count; ++s) {
+    emission_start = std::max(emission_start, shards_[s].max_first);
   }
 
-  // Phase 4: the ordered serial combine — the serial scan's exact
-  // multiply/renormalize/emit sequence with the CDF bookkeeping and
-  // divisions hoisted into the parallel phases above.
-  UKC_OBS_TIMER(obs_registry.GetHistogram(phase_name, phase_help,
-                                          {{"phase", "combine"}}));
-  CdfProduct product(num_variables);
-  KahanSum expectation;
-  double previous_cdf_product = 0.0;
-  size_t e = 0;
-  while (e < count) {
-    const double value = events_[e].value;
-    while (e < count && events_[e].value == value) {
-      product.ApplyRatio(ratio_zero_[e] != 0, ratio_[e]);
-      ++e;
+  // Phase 2: a variable with events above L gets F_i(L) re-summed over
+  // its events <= L and its tail set aside in location order, and its
+  // block is refolded.
+  run_shards([&](size_t s, size_t b_begin, size_t b_end) {
+    SweepShard& shard = shards_[s];
+    shard.tail.clear();
+    for (size_t block = b_begin; block < b_end; ++block) {
+      const size_t v_begin = block * kCdfProductBlock;
+      const size_t v_end = block_end(block);
+      bool refold = false;
+      for (size_t i = v_begin; i < v_end; ++i) {
+        if (last_[i] <= emission_start) continue;
+        refold = true;
+        shard.below_values.clear();
+        shard.below_probabilities.clear();
+        for (size_t l = offsets[i]; l < offsets[i + 1]; ++l) {
+          if (dist_[l] <= emission_start) {
+            shard.below_values.push_back(dist_[l]);
+            shard.below_probabilities.push_back(probabilities[l]);
+          } else {
+            shard.tail.push_back(Event{dist_[l], static_cast<uint32_t>(i),
+                                       static_cast<uint32_t>(l),
+                                       probabilities[l]});
+          }
+        }
+        cdf_[i] = SumInValueOrder(shard.below_values.data(),
+                                  shard.below_probabilities.data(),
+                                  shard.below_values.size(), &shard.order);
+      }
+      if (refold) blocks_[block] = FoldCdfBlock(cdf_, block);
     }
-    if (product.zeros == 0) {
-      const double cdf_product = product.Value();
-      const double mass = cdf_product - previous_cdf_product;
-      if (mass > 0.0) expectation.Add(value * mass);
-      previous_cdf_product = cdf_product;
-    }
-  }
-  return expectation.Total();
-}
+  });
 
-double ExpectedCostEvaluator::SweepEvents(size_t num_variables,
-                                          std::span<const size_t> var_offsets) {
-  UKC_CHECK_GT(num_variables, 0u);
-  if (!var_offsets.empty() && UseSegmentedSweep(events_.size())) {
-    return SweepEventsSegmented(num_variables, var_offsets);
+  // Phase 3 (serial): Π F_i(L) from the block products, L's mass, then
+  // the tail sorted and telescoped. Every CDF is positive from L on.
+  events_.clear();
+  for (size_t s = 0; s < shard_count; ++s) {
+    events_.insert(events_.end(), shards_[s].tail.begin(),
+                   shards_[s].tail.end());
   }
   SortEventsByValue();
-  cdf_.assign(num_variables, 0.0);
-
-  // Sweep the value axis maintaining F_i (per-variable CDF) and the
-  // running product P = Π_{F_i > 0} F_i (see CdfProduct).
-  CdfProduct product(num_variables);
+  CdfProduct product = FoldBlockProducts(blocks_);
   KahanSum expectation;
-  double previous_cdf_product = 0.0;  // P(max <= previous value).
-
+  double previous_cdf_product = product.Value();  // P(max <= L).
+  if (previous_cdf_product > 0.0) {
+    expectation.Add(emission_start * previous_cdf_product);
+  }
   const size_t count = events_.size();
   size_t e = 0;
   while (e < count) {
@@ -377,13 +357,14 @@ double ExpectedCostEvaluator::SweepEvents(size_t num_variables,
       product.Apply(old_cdf, new_cdf);
       ++e;
     }
-    if (product.zeros == 0) {
-      const double cdf_product = product.Value();
-      const double mass = cdf_product - previous_cdf_product;
-      if (mass > 0.0) expectation.Add(value * mass);
-      previous_cdf_product = cdf_product;
-    }
+    const double cdf_product = product.Value();
+    const double mass = cdf_product - previous_cdf_product;
+    if (mass > 0.0) expectation.Add(value * mass);
+    previous_cdf_product = cdf_product;
   }
+  const SweepCounters& counters = SweepCountersHandles();
+  counters.events->Add(total);
+  counters.tail->Add(count);
   return expectation.Total();
 }
 
@@ -392,25 +373,26 @@ double ExpectedCostEvaluator::ExpectedMaxOfIndependent(
   ScratchGuard guard(this);
   UKC_CHECK(!distributions.empty());
   const size_t n = distributions.size();
-  size_t total = 0;
-  for (const auto& d : distributions) total += d.size();
-  events_.clear();
-  events_.reserve(total);
-  var_offsets_scratch_.resize(n + 1);
+  var_offsets_.resize(n + 1);
+  var_offsets_[0] = 0;
   for (size_t i = 0; i < n; ++i) {
     UKC_CHECK(!distributions[i].empty());
-    var_offsets_scratch_[i] = events_.size();
+    var_offsets_[i + 1] = var_offsets_[i] + distributions[i].size();
+  }
+  dist_.resize(var_offsets_[n]);
+  var_probabilities_.resize(var_offsets_[n]);
+  for (size_t i = 0; i < n; ++i) {
+    size_t l = var_offsets_[i];
     for (const auto& [value, probability] : distributions[i]) {
       UKC_CHECK_GT(probability, 0.0);
-      // location = fill position, so value ties keep one order across
-      // the serial std::sort tiebreak and the stable radix.
-      events_.push_back(Event{value, static_cast<uint32_t>(i),
-                              static_cast<uint32_t>(events_.size()),
-                              probability});
+      dist_[l] = value;
+      var_probabilities_[l] = probability;
+      ++l;
     }
   }
-  var_offsets_scratch_[n] = events_.size();
-  return SweepEvents(n, var_offsets_scratch_);
+  // The values are already in place: an empty fill.
+  return FilteredSweep(var_offsets_, var_probabilities_.data(),
+                       [](size_t, size_t) {});
 }
 
 Result<double> ExpectedCostEvaluator::AssignedCost(
@@ -433,43 +415,42 @@ Result<double> ExpectedCostEvaluator::AssignedCost(
   }
   if (dataset.n() == 0) return 0.0;
 
-  // Stream the flat location arrays: sites/probs are contiguous; only
-  // the per-point target changes at offset boundaries.
+  // Stream the flat location arrays: sites are contiguous; only the
+  // per-point target changes at offset boundaries.
   const metric::SiteId* sites = dataset.flat_sites().data();
-  const double* probabilities = dataset.flat_probabilities().data();
   const size_t* offsets = dataset.offsets().data();
-  events_.clear();
-  events_.reserve(dataset.total_locations());
+  const double* probabilities = dataset.flat_probabilities().data();
   const metric::EuclideanSpace* euclidean = dataset.euclidean();
   if (euclidean != nullptr) {
     // Distances evaluated straight off the coordinate arena.
     const size_t dim = euclidean->dim();
     const metric::Norm norm = euclidean->norm();
-    for (size_t i = 0; i < dataset.n(); ++i) {
-      const double* target = euclidean->coords(assignment[i]);
-      for (size_t l = offsets[i]; l < offsets[i + 1]; ++l) {
-        events_.push_back(Event{
-            metric::NormDistanceKernel(norm, euclidean->coords(sites[l]),
-                                       target, dim),
-            static_cast<uint32_t>(i), static_cast<uint32_t>(l),
-            probabilities[l]});
-      }
-    }
-  } else {
-    for (size_t i = 0; i < dataset.n(); ++i) {
-      for (size_t l = offsets[i]; l < offsets[i + 1]; ++l) {
-        events_.push_back(Event{space.Distance(sites[l], assignment[i]),
-                                static_cast<uint32_t>(i),
-                                static_cast<uint32_t>(l), probabilities[l]});
-      }
-    }
+    return FilteredSweep(
+        dataset.offsets(), probabilities, [&](size_t v_begin, size_t v_end) {
+          for (size_t i = v_begin; i < v_end; ++i) {
+            const double* target = euclidean->coords(assignment[i]);
+            for (size_t l = offsets[i]; l < offsets[i + 1]; ++l) {
+              dist_[l] = metric::NormDistanceKernel(
+                  norm, euclidean->coords(sites[l]), target, dim);
+            }
+          }
+        });
   }
-  return SweepEvents(dataset.n(), dataset.offsets());
+  return FilteredSweep(
+      dataset.offsets(), probabilities, [&](size_t v_begin, size_t v_end) {
+        for (size_t i = v_begin; i < v_end; ++i) {
+          for (size_t l = offsets[i]; l < offsets[i + 1]; ++l) {
+            dist_[l] = space.Distance(sites[l], assignment[i]);
+          }
+        }
+      });
 }
 
-Status ExpectedCostEvaluator::FillUnassignedEvents(
+Result<double> ExpectedCostEvaluator::UnassignedCost(
     const uncertain::UncertainDataset& dataset,
     const std::vector<metric::SiteId>& centers) {
+  ScratchGuard guard(this);
+  UKC_RETURN_IF_ERROR(options_.deadline.Check("UnassignedCost"));
   if (centers.empty()) {
     return Status::InvalidArgument("ExactUnassignedCost: no centers");
   }
@@ -480,13 +461,21 @@ Status ExpectedCostEvaluator::FillUnassignedEvents(
           StrFormat("ExactUnassignedCost: center %d out of range", c));
     }
   }
+  if (dataset.n() == 0) return 0.0;
 
   const metric::SiteId* sites = dataset.flat_sites().data();
   const double* probabilities = dataset.flat_probabilities().data();
   const size_t* offsets = dataset.offsets().data();
-  const size_t total = dataset.total_locations();
-  events_.clear();
-  events_.reserve(total);
+  // Every fill below writes the locations of variables [v_begin, v_end).
+  const auto sweep = [&](const auto& distance_of_site) {
+    return FilteredSweep(dataset.offsets(), probabilities,
+                         [&](size_t v_begin, size_t v_end) {
+                           for (size_t l = offsets[v_begin];
+                                l < offsets[v_end]; ++l) {
+                             dist_[l] = distance_of_site(sites[l]);
+                           }
+                         });
+  };
   const metric::EuclideanSpace* euclidean = dataset.euclidean();
   if (euclidean != nullptr && euclidean->norm() == metric::Norm::kL2 &&
       centers.size() >= options_.kdtree_cutover) {
@@ -505,76 +494,45 @@ Status ExpectedCostEvaluator::FillUnassignedEvents(
       tree_coords_ = center_coords_;
     }
     const geometry::KdTree& tree = *tree_;
-    size_t i = 0;
-    for (size_t l = 0; l < total; ++l) {
-      while (l >= offsets[i + 1]) ++i;
-      events_.push_back(Event{
-          std::sqrt(tree.Nearest(euclidean->coords(sites[l])).squared_distance),
-          static_cast<uint32_t>(i), static_cast<uint32_t>(l),
-          probabilities[l]});
-    }
-    return Status::OK();
+    return sweep([&](metric::SiteId site) {
+      return std::sqrt(tree.Nearest(euclidean->coords(site)).squared_distance);
+    });
   }
   if (euclidean != nullptr && euclidean->norm() == metric::Norm::kL2) {
     // Flat linear scan comparing SQUARED distances, one sqrt for the
     // winner: IEEE sqrt is monotone and correctly rounded, so
     // min_c sqrt(s_c) == sqrt(min_c s_c) bit for bit — identical to
-    // the per-center-sqrt scan at one sqrt per location instead of k
-    // (the single-core win on BM_ExactSweep* at n >= 1e5).
+    // the per-center-sqrt scan at one sqrt per location instead of k.
     const size_t dim = euclidean->dim();
     euclidean->GatherCoords(centers, &center_coords_);
     const double* center_block = center_coords_.data();
     const size_t k = centers.size();
-    size_t i = 0;
-    for (size_t l = 0; l < total; ++l) {
-      while (l >= offsets[i + 1]) ++i;
-      const double* from = euclidean->coords(sites[l]);
+    return sweep([&](metric::SiteId site) {
+      const double* from = euclidean->coords(site);
       double best = std::numeric_limits<double>::infinity();
       for (size_t c = 0; c < k; ++c) {
         const double s =
             geometry::SquaredDistanceKernel(from, center_block + c * dim, dim);
         if (s < best) best = s;
       }
-      events_.push_back(Event{std::sqrt(best), static_cast<uint32_t>(i),
-                              static_cast<uint32_t>(l), probabilities[l]});
-    }
-    return Status::OK();
+      return std::sqrt(best);
+    });
   }
   if (euclidean != nullptr) {
     // Flat linear scan over the gathered center block.
     const size_t dim = euclidean->dim();
     const metric::Norm norm = euclidean->norm();
     euclidean->GatherCoords(centers, &center_coords_);
-    size_t i = 0;
-    for (size_t l = 0; l < total; ++l) {
-      while (l >= offsets[i + 1]) ++i;
-      events_.push_back(
-          Event{FlatDistanceToSet(norm, euclidean->coords(sites[l]),
-                                  center_coords_.data(), centers.size(), dim),
-                static_cast<uint32_t>(i), static_cast<uint32_t>(l),
-                probabilities[l]});
-    }
-    return Status::OK();
+    return sweep([&](metric::SiteId site) {
+      return FlatDistanceToSet(norm, euclidean->coords(site),
+                               center_coords_.data(), centers.size(), dim);
+    });
   }
-  size_t i = 0;
-  for (size_t l = 0; l < total; ++l) {
-    while (l >= offsets[i + 1]) ++i;
-    events_.push_back(Event{space.DistanceToSet(sites[l], centers),
-                            static_cast<uint32_t>(i),
-                            static_cast<uint32_t>(l), probabilities[l]});
-  }
-  return Status::OK();
+  return sweep([&](metric::SiteId site) {
+    return space.DistanceToSet(site, centers);
+  });
 }
 
-Result<double> ExpectedCostEvaluator::UnassignedCost(
-    const uncertain::UncertainDataset& dataset,
-    const std::vector<metric::SiteId>& centers) {
-  ScratchGuard guard(this);
-  UKC_RETURN_IF_ERROR(options_.deadline.Check("UnassignedCost"));
-  UKC_RETURN_IF_ERROR(FillUnassignedEvents(dataset, centers));
-  if (dataset.n() == 0) return 0.0;
-  return SweepEvents(dataset.n(), dataset.offsets());
-}
 
 Result<std::vector<double>> ExpectedCostEvaluator::UnassignedCostBatch(
     const uncertain::UncertainDataset& dataset,
@@ -840,18 +798,22 @@ void ExpectedCostEvaluator::FinishSwapBase(
   }
 
   // One prefix sweep capturing every rung's state just below its
-  // threshold: per-point CDFs, the zero count, and the running Π F_i
-  // mantissa/exponent. (No mass emission is tracked — each rung is only
-  // consulted when nothing can have been emitted below it.)
+  // threshold: per-point CDFs, the zero count, and the canonical
+  // per-block products of the nonzero CDFs. (No mass emission is
+  // tracked — each rung is only consulted when nothing can have been
+  // emitted below it.)
   std::vector<double>& cdf = cdf_;
   cdf.assign(n, 0.0);
-  CdfProduct product(n);
+  size_t zeros = n;
+  const size_t num_blocks = NumBlocks(n);
   const auto capture = [&](int level, size_t index) {
     SwapBase::Snapshot& snapshot = out->levels[level];
     snapshot.index = index;
-    snapshot.zeros = product.zeros;
-    snapshot.mantissa = product.mantissa;
-    snapshot.exponent = product.exponent;
+    snapshot.zeros = zeros;
+    snapshot.blocks.resize(num_blocks);
+    for (size_t block = 0; block < num_blocks; ++block) {
+      snapshot.blocks[block] = FoldCdfBlock(cdf, block);
+    }
     // Ladder compaction: only rung 0 and the deepest rung keep their
     // n-length CDF resident (2·n instead of kSwapLadderRungs·n doubles
     // per table); an intermediate rung is re-derived on escalation by
@@ -874,10 +836,8 @@ void ExpectedCostEvaluator::FinishSwapBase(
       --next_level;
     }
     if (next_level < 0) break;  // Everything from here on is tail.
-    const double old_cdf = cdf[event.index];
-    const double new_cdf = old_cdf + event.probability;
-    cdf[event.index] = new_cdf;
-    product.Apply(old_cdf, new_cdf);
+    if (cdf[event.index] == 0.0) --zeros;
+    cdf[event.index] += event.probability;
   }
   // Rungs the stream never reached see the whole applied prefix.
   while (next_level >= 0) {
@@ -889,18 +849,10 @@ void ExpectedCostEvaluator::FinishSwapBase(
 double ExpectedCostEvaluator::MergeSweepFrom(
     const uncertain::UncertainDataset& dataset, const SwapBase& base,
     size_t a_begin, std::span<const std::pair<double, uint32_t>> changed,
-    std::span<const uint32_t> point_of, size_t zeros, double mantissa,
-    int exponent) {
+    std::span<const uint32_t> point_of, size_t zeros, bool all_touched) {
   const double* probabilities = dataset.flat_probabilities().data();
   const Event* events = base.events.data();
   const size_t total = base.events.size();
-  CdfProduct product(0);
-  product.zeros = zeros;
-  product.mantissa = mantissa;
-  product.exponent = exponent;
-  KahanSum expectation;
-  double previous_cdf_product = 0.0;
-
   const size_t changed_count = changed.size();
   size_t a = a_begin;
   size_t b = 0;
@@ -908,47 +860,74 @@ double ExpectedCostEvaluator::MergeSweepFrom(
     while (a < total && changed_stamp_[events[a].location] == stamp_) ++a;
   };
   // Single-pass merge: take the lexicographically smaller (value, l)
-  // head, apply it, and emit mass once the next head moves past the
-  // current value (the streams are nondecreasing, so "different" means
-  // "greater"). va/vb mirror the stream heads to keep the loop
-  // load-light; the base stream walk is sequential memory.
+  // head. va/vb mirror the stream heads to keep the loop load-light;
+  // the base stream walk is sequential memory.
   constexpr double kInf = std::numeric_limits<double>::infinity();
   skip_changed();
   double va = a < total ? events[a].value : kInf;
   double vb = b < changed_count ? changed[b].first : kInf;
-  while (a < total || b < changed_count) {
-    double value;
-    bool take_base;
-    if (va < vb) {
-      take_base = true;
-    } else if (vb < va) {
-      take_base = false;
-    } else {
-      take_base = b >= changed_count ||
-                  (a < total && events[a].location < changed[b].second);
-    }
+  double value = 0.0;
+  uint32_t point = 0;
+  double probability = 0.0;
+  const auto take = [&] {
+    const bool take_base =
+        va < vb || (va == vb && (b >= changed_count ||
+                                 (a < total &&
+                                  events[a].location < changed[b].second)));
     if (take_base) {
       value = va;
-      const Event& event = events[a];
-      const double old_cdf = cdf_[event.index];
-      const double new_cdf = old_cdf + event.probability;
-      cdf_[event.index] = new_cdf;
-      product.Apply(old_cdf, new_cdf);
+      point = events[a].index;
+      probability = events[a].probability;
       ++a;
       skip_changed();
       va = a < total ? events[a].value : kInf;
     } else {
       value = vb;
       const uint32_t l = changed[b].second;
-      const uint32_t i = point_of[l];
-      const double old_cdf = cdf_[i];
-      const double new_cdf = old_cdf + probabilities[l];
-      cdf_[i] = new_cdf;
-      product.Apply(old_cdf, new_cdf);
+      point = point_of[l];
+      probability = probabilities[l];
       ++b;
       vb = b < changed_count ? changed[b].first : kInf;
     }
-    if (va != value && vb != value && product.zeros == 0) {
+  };
+
+  // Up to and including the emission start (the value whose group
+  // leaves no CDF at 0) the events only grow the CDFs.
+  while (true) {
+    UKC_CHECK(a < total || b < changed_count)
+        << "swap sweep: a point has no event";
+    take();
+    if (cdf_[point] == 0.0) --zeros;
+    cdf_[point] += probability;
+    block_stamp_[point / kCdfProductBlock] = stamp_;
+    if (zeros == 0 && std::min(va, vb) != value) break;
+  }
+  const double emission_start = value;
+
+  // Π F_i at the start: the changed blocks refolded, the rest as the
+  // rung stored them.
+  for (size_t block = 0; block < blocks_.size(); ++block) {
+    if (all_touched || block_stamp_[block] == stamp_) {
+      blocks_[block] = FoldCdfBlock(cdf_, block);
+    }
+  }
+  CdfProduct product = FoldBlockProducts(blocks_);
+  KahanSum expectation;
+  double previous_cdf_product = product.Value();
+  if (previous_cdf_product > 0.0) {
+    expectation.Add(emission_start * previous_cdf_product);
+  }
+
+  // Above it, every event multiplies its CDF ratio in, and each value
+  // group emits its mass once the next head moves past it (the streams
+  // are nondecreasing, so "different" means "greater").
+  while (a < total || b < changed_count) {
+    take();
+    const double old_cdf = cdf_[point];
+    const double new_cdf = old_cdf + probability;
+    cdf_[point] = new_cdf;
+    product.Apply(old_cdf, new_cdf);
+    if (std::min(va, vb) != value) {
       const double cdf_product = product.Value();
       const double mass = cdf_product - previous_cdf_product;
       if (mass > 0.0) expectation.Add(value * mass);
@@ -1064,10 +1043,12 @@ void ExpectedCostEvaluator::BeginChangedCollection(
   if (point_stamp_.size() != dataset.n()) {
     point_stamp_.assign(dataset.n(), 0);
     point_min_.assign(dataset.n(), 0.0);
+    block_stamp_.assign(NumBlocks(dataset.n()), 0);
   }
   if (++stamp_ == 0) {  // Stamp wrapped: reset the masks once.
     std::fill(changed_stamp_.begin(), changed_stamp_.end(), 0);
     std::fill(point_stamp_.begin(), point_stamp_.end(), 0);
+    std::fill(block_stamp_.begin(), block_stamp_.end(), 0);
     stamp_ = 1;
   }
   changed_.clear();
@@ -1259,11 +1240,12 @@ Result<double> ExpectedCostEvaluator::ScoreSwapFromChanged(
   const size_t num_variables = dataset.n();
   if (level == nullptr) {
     // Full merge from scratch: every event replayed (changed_ holds the
-    // complete improved set).
+    // complete improved set) and every block folded.
     std::sort(changed_.begin(), changed_.end());
     cdf_.assign(num_variables, 0.0);
+    blocks_.resize(NumBlocks(num_variables));
     return MergeSweepFrom(dataset, base, 0, changed_, point_of, num_variables,
-                          1.0, 0);
+                          /*all_touched=*/true);
   }
 
   // Snapshot path against rung `level`. A changed location below the
@@ -1274,7 +1256,7 @@ Result<double> ExpectedCostEvaluator::ScoreSwapFromChanged(
   //     do (the order of additions differs by ~1 ulp from a full
   //     replay);
   //   - old value at/above the threshold: the mass newly drops below —
-  //     apply it on top of the snapshot state;
+  //     add it to the snapshot's CDF and mark its block for refolding;
   //   - new value at/above the threshold: a regular tail-merge event.
   const double threshold = level->threshold;
   if (level->cdf.empty()) {
@@ -1313,25 +1295,9 @@ Result<double> ExpectedCostEvaluator::ScoreSwapFromChanged(
   } else {
     cdf_.assign(level->cdf.begin(), level->cdf.end());
   }
-  CdfProduct product(0);
-  product.zeros = level->zeros;
-  product.mantissa = level->mantissa;
-  product.exponent = level->exponent;
+  blocks_.assign(level->blocks.begin(), level->blocks.end());
+  size_t zeros = level->zeros;
   changed_tail_.clear();
-  // changed_ is in ascending location order, so a point's entries are
-  // consecutive: mass newly dropping below the threshold is accumulated
-  // per point-run and folded into the product once per point instead of
-  // once per event (the expensive part of Apply is the division).
-  uint32_t run_point = 0;
-  double run_delta = 0.0;
-  const auto flush_run = [&] {
-    if (run_delta == 0.0) return;
-    const double old_cdf = cdf_[run_point];
-    const double new_cdf = old_cdf + run_delta;
-    cdf_[run_point] = new_cdf;
-    product.Apply(old_cdf, new_cdf);
-    run_delta = 0.0;
-  };
   for (const auto& [d, l] : changed_) {
     if (d >= threshold) {
       changed_tail_.emplace_back(d, l);
@@ -1339,16 +1305,14 @@ Result<double> ExpectedCostEvaluator::ScoreSwapFromChanged(
     }
     if (base_distances[l] >= threshold) {
       const uint32_t i = point_of[l];
-      if (i != run_point) flush_run();
-      run_point = i;
-      run_delta += probabilities[l];
+      if (cdf_[i] == 0.0) --zeros;
+      cdf_[i] += probabilities[l];
+      block_stamp_[i / kCdfProductBlock] = stamp_;
     }
   }
-  flush_run();
   std::sort(changed_tail_.begin(), changed_tail_.end());
-  return MergeSweepFrom(dataset, base, level->index, changed_tail_,
-                        point_of, product.zeros, product.mantissa,
-                        product.exponent);
+  return MergeSweepFrom(dataset, base, level->index, changed_tail_, point_of,
+                        zeros, /*all_touched=*/false);
 }
 
 void ExpectedCostEvaluator::ReserveScratch(size_t n, size_t total_locations) {
@@ -1360,16 +1324,6 @@ void ExpectedCostEvaluator::ReserveScratch(size_t n, size_t total_locations) {
   changed_tail_.reserve(total_locations);
   swap_first_.reserve(n);
   swap_order_.reserve(n);
-  if (options_.sweep_pool != nullptr) {
-    // Segmented-engine buffers (~21 bytes/location) only where the
-    // engine can actually run: worker evaluators inside a pool keep
-    // sweep_pool null and must not hold dead reservations.
-    perm_.reserve(total_locations);
-    perm_scratch_.reserve(total_locations);
-    inv_.reserve(total_locations);
-    ratio_.reserve(total_locations);
-    ratio_zero_.reserve(total_locations);
-  }
   scratch_reservation_ = std::max(scratch_reservation_, total_locations);
   scratch_reservation_points_ = std::max(scratch_reservation_points_, n);
 }
@@ -1388,13 +1342,14 @@ void ExpectedCostEvaluator::CheckScratchReservation() const {
 }
 
 size_t ExpectedCostEvaluator::SwapBase::LadderBytes() const {
-  // Snapshot CDFs only — the storage the compact ladder holds at 2n
-  // doubles instead of 7n. The escalation side tables (bottleneck
+  // Snapshot CDFs and block products only — the storage the compact
+  // ladder holds at ~2n doubles instead of ~7n. The escalation side tables (bottleneck
   // flags, deep points) are accounted in
   // ParallelCandidateEvaluator::SwapBaseMemoryBytes.
   size_t bytes = 0;
   for (const Snapshot& snapshot : levels) {
-    bytes += snapshot.cdf.capacity() * sizeof(double);
+    bytes += snapshot.cdf.capacity() * sizeof(double) +
+             snapshot.blocks.capacity() * sizeof(ScaledProduct);
   }
   return bytes;
 }

@@ -2,9 +2,10 @@
 // evaluation (the paper's EcostA / Ecost objectives).
 //
 // The objectives reduce to E[max_i X_i] over independent discrete
-// variables, computed exactly in O(N log N) by sweeping the value axis
-// (see expected_cost.h for the math). Evaluating one candidate solution
-// is cheap; pipelines evaluate thousands (local search tries every
+// variables, computed exactly in O(N + T log T) — N events in total, T
+// of them above the emission start L = max_i min_l d_il — by sweeping
+// the value axis (see expected_cost.h for the math). Evaluating one
+// candidate solution is cheap; pipelines evaluate thousands (local search tries every
 // center swap, benches score whole families), and the naive free
 // functions used to pay for that with fresh allocations per call:
 // per-point distribution vectors, the event buffer, the per-variable CDF
@@ -12,11 +13,12 @@
 // call.
 //
 // The evaluator owns all of that state and amortizes it across calls:
-//   - one flat event buffer (value, variable, probability) reused by
-//     every evaluation — distances are written straight into it by
-//     streaming the dataset's flat site/probability arrays against the
-//     EuclideanSpace coordinate arena, no per-location indirection;
-//   - the per-variable CDF array for the sweep;
+//   - one flat per-location distance buffer reused by every
+//     evaluation — distances are written straight into it by streaming
+//     the dataset's flat site/probability arrays against the
+//     EuclideanSpace coordinate arena, no per-location indirection —
+//     plus the (small) buffer of tail events above L;
+//   - the per-variable CDF array and per-block CDF products;
 //   - a kd-tree over the current center set, cached and only rebuilt
 //     when the centers actually change;
 //   - the per-location distance table + alias samplers for Monte-Carlo
@@ -45,6 +47,32 @@
 // enforced: every public evaluation entry point checks (via an atomic
 // owner mark) that no second thread is inside the same instance and
 // aborts with a CHECK failure on violation.
+//
+// Canonical arithmetic order. Every exact sweep — the fresh sweeps
+// (AssignedCost, UnassignedCost, ExpectedMaxOfIndependent) and the
+// swap tables (BuildSwapBase, PatchSwapBase, EditSwapBase and the
+// UnassignedCostSwap* scorers) — spells the floating-point arithmetic
+// of E[max_i X_i] one way:
+//   1. Below L = max_i min_l d_il some CDF is still 0, so no mass is
+//      emitted there. Each variable's CDF at L, F_i(L), is the sum of
+//      the probabilities of its events with value <= L, added in
+//      (value, location) order starting from 0.0.
+//   2. Π_i F_i(L) comes from one helper: a left fold over the variables
+//      of each fixed kCdfProductBlock-variable block (index order),
+//      then a left fold across the blocks, both as a mantissa/exponent
+//      pair renormalized when the mantissa leaves [2^-16, 2^16). The
+//      mass emitted at L is L · Π_i F_i(L).
+//   3. The events above L are sorted by (value, location); each one
+//      multiplies the product by its CDF ratio new/old, and each value
+//      group emits value · (ΠF after the group − ΠF before it), summed
+//      with Kahan compensation.
+// The fresh sweep is bitwise identical at every sweep_pool size. A
+// swap table's rung keeps its CDFs, zero count and per-block partial
+// products; a candidate adds the events below its own emission start
+// into the CDFs only and refolds just the blocks whose CDFs it changed,
+// so its value differs from a fresh sweep of the swapped center set
+// only where a moved location's probability entered a CDF in another
+// order (~1 ulp per such variable).
 
 #ifndef UKC_COST_EXPECTED_COST_EVALUATOR_H_
 #define UKC_COST_EXPECTED_COST_EVALUATOR_H_
@@ -84,10 +112,18 @@ using DiscreteDistribution = std::vector<std::pair<double, double>>;
 /// k = 40.
 inline constexpr size_t kDefaultKdTreeCutover = 40;
 
-/// Smallest sweep (in events) that runs through the segmented engine
-/// when ExpectedCostEvaluator::Options::sweep_pool offers more than one
-/// thread; below it the engine's extra passes do not pay off.
-inline constexpr size_t kSegmentedSweepMinEvents = 32768;
+/// Variables per block of the canonical Π F fold (see the file
+/// comment's "Canonical arithmetic order").
+inline constexpr size_t kCdfProductBlock = 64;
+
+/// A product of CDF values held as value = ldexp(mantissa, exponent)
+/// with the mantissa kept in [2^-16, 2^16) (power-of-two rescaling is
+/// exact, so the pair cannot underflow where a plain double product of
+/// many small CDFs would).
+struct ScaledProduct {
+  double mantissa = 1.0;
+  int exponent = 0;
+};
 
 /// A Monte-Carlo estimate with its standard error.
 struct MonteCarloEstimate {
@@ -131,18 +167,17 @@ class ExpectedCostEvaluator {
   struct Options {
     /// Centers >= this use the kd-tree path (Euclidean L2 spaces only).
     size_t kdtree_cutover = kDefaultKdTreeCutover;
-    /// Borrowed pool fanning out the segmented exact-sweep engine
-    /// (parallel radix sort + per-variable CDF trajectories + ordered
-    /// serial combine), which is bitwise identical to the serial scan
-    /// at every thread count. The engine runs only when this pool has
-    /// more than one thread and the sweep holds at least
-    /// kSegmentedSweepMinEvents events; otherwise (null, a 1-thread
-    /// pool, or a smaller sweep) the serial sort-sweep runs — the
-    /// engine trades extra memory passes for parallel phases, which
-    /// only pays with real parallelism on large streams (measured in
-    /// BM_ExactSweep{Serial,Parallel}). Callers running the evaluator
-    /// from inside a pool job must leave this null (a pool must not be
-    /// re-entered from one of its own jobs).
+    /// Borrowed pool the fresh exact sweeps (AssignedCost,
+    /// UnassignedCost, ExpectedMaxOfIndependent) shard over: the
+    /// distance fill, the per-variable CDFs at L and the per-block
+    /// products run as one shard per pool thread, each shard a
+    /// contiguous range of whole kCdfProductBlock-variable blocks
+    /// writing by index; L, the block fold and the tail sweep stay
+    /// serial. The result is bitwise identical at every pool size,
+    /// including null (serial, as is a 1-thread pool). The swap-table
+    /// paths never use it. Callers running the evaluator from inside a
+    /// pool job must leave this null (a pool must not be re-entered
+    /// from one of its own jobs).
     ThreadPool* sweep_pool = nullptr;
     /// Cancellation/budget token checked once per evaluation entry
     /// (per candidate on batch and swap paths — coarse on purpose, so
@@ -227,16 +262,17 @@ class ExpectedCostEvaluator {
     /// and the deepest rung keep their `cdf` resident (2n instead of
     /// kSwapLadderRungs·n doubles per table); an intermediate rung's
     /// CDF is left empty and re-derived on demand from the deepest rung
-    /// by replaying events[deepest.index, index). The product state
-    /// (zeros, mantissa, exponent) stays stored, it is O(1). A rung
-    /// whose `cdf` is filled is used as stored, so a table with every
-    /// rung filled scores bitwise identically.
+    /// by replaying events[deepest.index, index). The zero count and
+    /// the per-block products (n / kCdfProductBlock pairs) stay
+    /// stored. A rung whose `cdf` is filled is used as stored, so a
+    /// table with every rung filled scores bitwise identically.
     struct Snapshot {
       double threshold = 0.0;
       size_t index = 0;  // First event with value >= threshold.
-      size_t zeros = 0;
-      double mantissa = 1.0;
-      int exponent = 0;
+      size_t zeros = 0;  // Points with no event below threshold.
+      /// Per kCdfProductBlock-point block: the canonical fold of its
+      /// nonzero CDFs.
+      std::vector<ScaledProduct> blocks;
       std::vector<double> cdf;  // Per-point CDF of events < threshold.
     };
 
@@ -266,9 +302,9 @@ class ExpectedCostEvaluator {
     /// BuildSwapBase/score API where epoch stays 0.
     uint64_t build_id = 0;
 
-    /// Resident bytes of the snapshot CDFs — the storage the compact
-    /// ladder holds at 2n doubles instead of 7n (~3.5x less). The
-    /// event stream and the escalation side tables (bottleneck flags,
+    /// Resident bytes of the snapshot CDFs and block products — the
+    /// storage the compact ladder holds at ~2n doubles instead of ~7n
+    /// (~3.2x less). The event stream and the escalation side tables (bottleneck flags,
     /// deep points) are accounted in
     /// ParallelCandidateEvaluator::SwapBaseMemoryBytes.
     size_t LadderBytes() const;
@@ -326,11 +362,11 @@ class ExpectedCostEvaluator {
   /// one kernel distance per location plus a replay of the tail —
   /// unless the candidate improves a bottleneck point below the
   /// threshold (rare), which falls back to a full merge-sweep. Agrees
-  /// with a full evaluation of the swapped center set to rounding
-  /// (~1 ulp per event: identical value-axis order; only
-  /// tied/below-threshold events may apply in a different order); the
-  /// result is a pure function of the inputs, so it is identical no
-  /// matter which thread or evaluator runs it.
+  /// with a fresh UnassignedCost of the swapped center set to rounding
+  /// (the canonical order of the file comment; only the CDFs of points
+  /// with moved locations may be summed in another order); the result
+  /// is a pure function of the inputs, so it is identical no matter
+  /// which thread or evaluator runs it.
   Result<double> UnassignedCostSwapPresorted(
       const uncertain::UncertainDataset& dataset,
       std::span<const double> base_distances, const SwapBase& base,
@@ -356,8 +392,9 @@ class ExpectedCostEvaluator {
       std::span<const uint32_t> point_of, metric::SiteId extra,
       const geometry::BoundedKdTree& tree, std::span<const double> subtree_max);
 
-  /// Exact E[max_i X_i] for independent discrete X_i. O(N log N) in the
-  /// total support size N. Reuses the evaluator's event/CDF scratch.
+  /// Exact E[max_i X_i] for independent discrete X_i. O(N + T log T) in
+  /// the total support size N and the T support values above
+  /// L = max_i min X_i. Reuses the evaluator's sweep scratch.
   double ExpectedMaxOfIndependent(
       std::span<const DiscreteDistribution> distributions);
 
@@ -385,43 +422,12 @@ class ExpectedCostEvaluator {
     ExpectedCostEvaluator* evaluator_;
   };
 
-  // Validates centers and fills events_ with one (distance, point,
-  // probability) atom per location.
-  Status FillUnassignedEvents(const uncertain::UncertainDataset& dataset,
-                              const std::vector<metric::SiteId>& centers);
-
-  // Sorts events_ ascending by (value, location): the serial LSD radix
-  // (RadixSortEventsByValue without a pool) over the order-preserving
-  // bit transform of the key for large inputs, std::sort below the
-  // cutover. Every event fill writes ascending locations, so the
-  // stable radix and the tie-spelled std::sort produce the same
-  // permutation.
+  // Sorts events_ ascending by (value, location): a serial LSD radix
+  // over the order-preserving bit transform of the key for large
+  // inputs, std::sort below the cutover. Every event fill writes
+  // ascending locations, so the stable radix and the tie-spelled
+  // std::sort produce the same permutation.
   void SortEventsByValue();
-
-  // Stable LSD radix by value, sharded over `pool` when it is non-null
-  // (per-worker histograms over contiguous event shards, one exact
-  // serial prefix over the combined histograms, per-worker scatters
-  // into precomputed disjoint destination ranges). Bitwise identical
-  // at every shard count, including the unsharded null-pool run. With
-  // track_positions, perm_[e] is left holding the pre-sort position
-  // of sorted event e.
-  void RadixSortEventsByValue(ThreadPool* pool, bool track_positions);
-
-  // The pool the segmented engine may fan out over: the configured
-  // sweep_pool when it offers real parallelism, else null (the serial
-  // path wins at one thread — see Options::sweep_pool).
-  ThreadPool* SweepPool() const {
-    return options_.sweep_pool != nullptr &&
-                   options_.sweep_pool->num_threads() > 1
-               ? options_.sweep_pool
-               : nullptr;
-  }
-
-  // True when a sweep of `count` events runs through the segmented
-  // engine.
-  bool UseSegmentedSweep(size_t count) const {
-    return SweepPool() != nullptr && count >= kSegmentedSweepMinEvents;
-  }
 
   // Merges `kept` (already in (value, location) order) with the sorted
   // replacement entries in changed_ into out->events, reproducing the
@@ -436,21 +442,15 @@ class ExpectedCostEvaluator {
   // something deallocated mid-trajectory — crash, don't churn.
   void CheckScratchReservation() const;
 
-  // Sorts events_ and runs the value-axis sweep for `num_variables`
-  // variables (resets cdf_ on the serial path). var_offsets delimits
-  // each variable's pre-sort event range (the CSR offsets array for
-  // dataset sweeps); an empty span forces the serial path.
-  double SweepEvents(size_t num_variables,
-                     std::span<const size_t> var_offsets = {});
-
-  // The segmented sweep: after the (tracked) parallel sort, the
-  // per-variable CDF trajectories are computed in parallel over
-  // variable segments — each event's CDF step becomes a precomputed
-  // product ratio — and one ordered serial combine replays exactly the
-  // serial scan's multiply/renormalize/emit sequence. Bitwise
-  // identical to the serial SweepEvents at every thread count.
-  double SweepEventsSegmented(size_t num_variables,
-                              std::span<const size_t> var_offsets);
+  // The fresh exact sweep in the canonical order (file comment) over
+  // the CSR variables delimited by `offsets`: fill(v_begin, v_end)
+  // writes dist_[l] for the locations of variables [v_begin, v_end).
+  // The fill, the per-variable CDFs at L and the block products run
+  // sharded over Options::sweep_pool; the tail sort and telescoping
+  // are serial.
+  template <typename Fill>
+  double FilteredSweep(std::span<const size_t> offsets,
+                       const double* probabilities, const Fill& fill);
 
   // Resets changed_ and advances the stamp masks for a new candidate's
   // collection pass.
@@ -495,14 +495,18 @@ class ExpectedCostEvaluator {
                                       const SwapBase::Snapshot* level);
 
   // Merge-sweeps base.events[a_begin..) (entries stamped in
-  // changed_stamp_ skipped) against `changed` (ascending (value, l)),
-  // starting from the given sweep state. cdf_ must already hold the
-  // matching per-point CDFs.
+  // changed_stamp_ skipped) against `changed` (ascending (value, l)).
+  // cdf_ must already hold the per-point CDFs the merge starts from,
+  // `zeros` how many of them are 0, and blocks_ the per-block products
+  // with every block whose CDFs differ from them stamped in
+  // block_stamp_ (all_touched: refold every block). The events up to
+  // the emission start only grow the CDFs; then the touched blocks are
+  // refolded, the start's mass emitted, and the rest telescoped.
   double MergeSweepFrom(const uncertain::UncertainDataset& dataset,
                         const SwapBase& base, size_t a_begin,
                         std::span<const std::pair<double, uint32_t>> changed,
                         std::span<const uint32_t> point_of, size_t zeros,
-                        double mantissa, int exponent);
+                        bool all_touched);
 
   // Fills distance_table_ with distance(site) for every flat location,
   // in flat-array order (one shared target set; per-point targets are
@@ -522,24 +526,33 @@ class ExpectedCostEvaluator {
   std::atomic<std::thread::id> owner_{std::thread::id()};
   int owner_depth_ = 0;
 
-  // Exact-sweep scratch.
+  // Exact-sweep scratch: per-location distances, the sorted tail (and
+  // the swap tables' full event stream), its radix ping-pong buffer and
+  // histograms, per-variable CDFs and largest values, and per-block
+  // products.
+  std::vector<double> dist_;
   std::vector<Event> events_;
-  std::vector<Event> events_scratch_;   // Radix-sort ping-pong buffer.
-  std::vector<uint32_t> shard_counts_;  // Per-shard radix histograms.
-  std::vector<double> cdf_;
-
-  // Segmented-engine scratch: the position permutation tracked through
-  // the parallel radix (perm_: sorted -> pre-sort, inv_: pre-sort ->
-  // sorted), the per-event precomputed product ratios / zero flags, the
-  // sharded radix's per-pass totals, and the per-variable offsets built
-  // for non-CSR fills (ExpectedMaxOfIndependent).
-  std::vector<uint32_t> perm_;
-  std::vector<uint32_t> perm_scratch_;
-  std::vector<uint32_t> inv_;
-  std::vector<double> ratio_;
-  std::vector<uint8_t> ratio_zero_;
+  std::vector<Event> events_scratch_;
   std::vector<uint32_t> radix_counts_;
-  std::vector<size_t> var_offsets_scratch_;
+  std::vector<double> cdf_;
+  std::vector<double> last_;
+  std::vector<ScaledProduct> blocks_;
+
+  // Per-shard state of FilteredSweep: the shard's largest per-variable
+  // minimum, its tail events (in location order), one variable's events
+  // <= L, and the sort scratch of large supports.
+  struct SweepShard {
+    double max_first = 0.0;
+    std::vector<Event> tail;
+    std::vector<double> below_values;
+    std::vector<double> below_probabilities;
+    std::vector<std::pair<double, size_t>> order;
+  };
+  std::vector<SweepShard> shards_;
+
+  // ExpectedMaxOfIndependent's CSR view of its distributions.
+  std::vector<size_t> var_offsets_;
+  std::vector<double> var_probabilities_;
 
   // Scratch reservation high-water (events); 0 = never reserved. Swap
   // base builds CHECK capacity never drops below it (no reallocation
@@ -571,6 +584,7 @@ class ExpectedCostEvaluator {
   std::vector<std::pair<double, uint32_t>> changed_tail_;
   std::vector<uint32_t> changed_stamp_;
   std::vector<uint32_t> point_stamp_;
+  std::vector<uint32_t> block_stamp_;  // Blocks whose CDFs moved.
   std::vector<double> point_min_;  // Stamped per-point improved minimum.
   uint32_t stamp_ = 0;
 

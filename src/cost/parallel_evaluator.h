@@ -45,7 +45,7 @@
 //
 // Every task — batch candidates, table builds, swap candidates — runs
 // on a worker's private evaluator inside the pool; the pool is never
-// re-entered from a job, so the workers' segmented sweep stays off
+// re-entered from a job, so the workers' sweeps stay serial
 // (ExpectedCostEvaluator::Options::sweep_pool is forced null).
 
 #ifndef UKC_COST_PARALLEL_EVALUATOR_H_
@@ -115,10 +115,11 @@ class ParallelCandidateEvaluator {
   /// ("all centers but p") are built and presorted once; each candidate
   /// then costs O(N + m log m) via the merge-sweep
   /// (ExpectedCostEvaluator::UnassignedCostSwapPresorted) instead of a
-  /// fresh O(N log N) evaluation. Values agree with a full linear-path
-  /// evaluation of the swapped set to rounding (identical value order;
-  /// tied events may apply in a different order) and are bitwise
-  /// identical across thread counts. Scratch is O(k · total_locations).
+  /// fresh O(N + T log T) evaluation. Values agree with a full
+  /// evaluation of the swapped set to rounding (same canonical order,
+  /// expected_cost_evaluator.h; a moved location's probability may
+  /// enter its CDF in another order) and are bitwise identical across
+  /// thread counts. Scratch is O(k · total_locations).
   Result<std::vector<double>> SwapCostMatrix(
       const uncertain::UncertainDataset& dataset,
       const std::vector<metric::SiteId>& centers,

@@ -339,9 +339,8 @@ Result<StreamingSolution> StreamingUncertainKCenter::SolveDataset(
                        cost::AssignExpectedDistance(*dataset, center_ids,
                                                     options_.threads,
                                                     pool.get()));
-  // The one exact sweep of the solve runs at the full dataset size —
-  // exactly what the segmented engine is for; it shares the
-  // pipeline's pool.
+  // The one exact sweep of the solve runs at the full dataset size; its
+  // distance fill shards over the pipeline's pool.
   cost::ExpectedCostEvaluator::Options evaluator_options;
   evaluator_options.sweep_pool = pool.get();
   cost::ExpectedCostEvaluator evaluator(evaluator_options);

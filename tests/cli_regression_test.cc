@@ -144,6 +144,14 @@ TEST(CliRegressionTest, StageTimesAreReadFromTheRegistry) {
        {"surrogate ms", "clustering ms", "assignment ms", "evaluation ms"}) {
     EXPECT_NE(batch.output.find(row), std::string::npos) << batch.output;
   }
+  // The exact sweeps say what the threshold filter skipped: the
+  // assigned and unassigned sweeps each see all 400 events.
+  EXPECT_NE(prom_text.str().find("ukc_sweep_events_total 800\n"),
+            std::string::npos)
+      << prom_text.str();
+  EXPECT_NE(prom_text.str().find("ukc_sweep_tail_events_total "),
+            std::string::npos)
+      << prom_text.str();
   std::remove(prom_path.c_str());
 
   const auto stream = RunCli(

@@ -1,13 +1,16 @@
-// Parity suite for the segmented exact-sweep engine, the compacted
-// snapshot ladder, and double-buffered ingestion. Everything here is
-// EXPECT_EQ on doubles — no tolerance anywhere — against a reference
+// Parity suite for the threshold-filtered exact sweep, the compacted
+// snapshot ladder, and double-buffered ingestion. Against references
 // the test builds itself:
-//  * the segmented sweep (parallel radix sort + per-variable CDF
-//    trajectories + ordered serial combine), which runs when an
-//    evaluator borrows a pool of more than one thread and the sweep
-//    holds at least cost::kSegmentedSweepMinEvents events, must be
-//    bitwise identical to an evaluator with no sweep_pool (the serial
-//    sort-sweep) at every thread count;
+//  * the filtered sweep (distance fill, per-variable CDFs at
+//    L = max_i min_l d_il and the block products sharded over the
+//    evaluator's sweep_pool; tail sort and telescoping serial) must be
+//    bitwise identical at every pool size — EXPECT_EQ on doubles — and
+//    within 1e-12 relative of the old serial sort-sweep
+//    (tests/sweep_reference.h), including on streams whose mass is all
+//    tied at L, single variables, z = 1 and negative values;
+//  * every SwapCostMatrix value on an outlier-family instance must stay
+//    within 3e-13 relative of a fresh UnassignedCost of the swapped set
+//    (the swap tables fold Π F_i the canonical way too);
 //  * the compacted ladder (rung 0 + deepest rung resident, the
 //    intermediate rungs re-derived on escalation by replaying
 //    events[deepest.index, rung.index)) must be bitwise identical to
@@ -23,6 +26,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -39,6 +43,7 @@
 #include "stream/coreset.h"
 #include "stream/ingest.h"
 #include "swap_reference.h"
+#include "sweep_reference.h"
 #include "uncertain/dataset.h"
 #include "uncertain/uncertain_point.h"
 
@@ -47,7 +52,11 @@ namespace {
 
 using metric::SiteId;
 using testing_reference::FillLadder;
+using testing_reference::OldOrderAssignedCost;
+using testing_reference::OldOrderExpectedMax;
+using testing_reference::OldOrderUnassignedCost;
 using testing_reference::ReferenceSwapCostMatrix;
+using testing_reference::RelativeGap;
 
 const int kThreadCounts[] = {1, 2, 8};
 
@@ -128,114 +137,125 @@ std::vector<SiteId> SomeCenters(const uncertain::UncertainDataset& dataset,
   return std::move(solver::Gonzalez(dataset.space(), sites, k)).value().centers;
 }
 
-// How many times the segmented engine's radix phase has run in this
-// process (its timer lands in ukc_sweep_phase_seconds{phase=radix}).
-uint64_t SegmentedSweeps() {
-  return obs::MetricsRegistry::Default()
-      .GetHistogram("ukc_sweep_phase_seconds",
-                    "Segmented exact-sweep phase wall time",
-                    {{"phase", "radix"}})
-      ->Snapshot()
-      .count;
-}
-
 // Runs `evaluate` on an evaluator borrowing a pool of each thread count
-// and expects the no-pool evaluator's value bit for bit — and, with
-// the observability layer compiled in, that a pool of more than one
-// thread really took the segmented engine.
+// and expects the no-pool evaluator's value bit for bit, and that value
+// within 1e-12 relative of the old-order reference `old_order`.
 template <typename Evaluate>
-void ExpectSegmentedMatchesSerial(const Evaluate& evaluate,
-                                  const std::string& label) {
+void ExpectPoolInvariantNearOldOrder(const Evaluate& evaluate,
+                                     double old_order,
+                                     const std::string& label) {
   cost::ExpectedCostEvaluator serial;
   const double reference = evaluate(serial);
+  EXPECT_LE(RelativeGap(reference, old_order), 1e-12)
+      << label << ": " << reference << " vs old order " << old_order;
   for (int threads : kThreadCounts) {
     ThreadPool pool(threads);
     cost::ExpectedCostEvaluator::Options options;
     options.sweep_pool = &pool;
-    cost::ExpectedCostEvaluator segmented(options);
-    const uint64_t before = SegmentedSweeps();
-    EXPECT_EQ(reference, evaluate(segmented))
-        << label << " threads=" << threads;
-    if (obs::kEnabled && threads > 1) {
-      EXPECT_GT(SegmentedSweeps(), before)
-          << label << " threads=" << threads
-          << ": the segmented engine did not run";
-    }
+    cost::ExpectedCostEvaluator pooled(options);
+    EXPECT_EQ(reference, evaluate(pooled)) << label << " threads=" << threads;
   }
 }
 
-// The segmented engine vs the serial sweep over random instances of at
-// least kSegmentedSweepMinEvents events, across dimensions, (k, z)
-// shapes, both objectives, and thread counts.
-TEST(ParallelSweepTest, SegmentedSweepMatchesSerialBitwise) {
+// The filtered sweep vs itself across pool sizes and vs the old order,
+// over random instances across dimensions, (k, z) shapes and both
+// objectives.
+TEST(ParallelSweepTest, FilteredSweepIsPoolInvariantAndNearOldOrder) {
   struct Shape {
     size_t n;
     size_t k;
     size_t z;
   };
-  const Shape shapes[] = {{8200, 8, 4}, {4100, 5, 8}};
+  const Shape shapes[] = {{8200, 8, 4}, {4100, 5, 8}, {130, 3, 2}};
   uint64_t seed = 500;
   for (size_t dim : {1u, 2u, 3u, 8u}) {
     for (const Shape& shape : shapes) {
       ++seed;
       const auto dataset = MakeDataset(shape.n, dim, shape.z, seed);
-      ASSERT_GE(dataset.total_locations(), cost::kSegmentedSweepMinEvents);
       const auto centers = SomeCenters(dataset, shape.k);
       const cost::Assignment assignment(dataset.n(), centers[0]);
       const std::string label =
           "dim=" + std::to_string(dim) + " n=" + std::to_string(shape.n);
-      ExpectSegmentedMatchesSerial(
+      ExpectPoolInvariantNearOldOrder(
           [&](cost::ExpectedCostEvaluator& evaluator) {
             return *evaluator.UnassignedCost(dataset, centers);
           },
-          label + " unassigned");
-      ExpectSegmentedMatchesSerial(
+          OldOrderUnassignedCost(dataset, centers), label + " unassigned");
+      ExpectPoolInvariantNearOldOrder(
           [&](cost::ExpectedCostEvaluator& evaluator) {
             return *evaluator.AssignedCost(dataset, assignment);
           },
-          label + " assigned");
+          OldOrderAssignedCost(dataset, assignment), label + " assigned");
     }
   }
 }
 
-// Below kSegmentedSweepMinEvents the serial sweep runs even with a
-// many-thread pool.
-TEST(ParallelSweepTest, SmallSweepsStaySerial) {
+// The sweep's registry counters: one fresh sweep adds its event count
+// to ukc_sweep_events_total and the count of events above L to
+// ukc_sweep_tail_events_total, at every pool size including none.
+TEST(ParallelSweepTest, SweepCountersSeeEveryEventAndTheTail) {
   if (!obs::kEnabled) GTEST_SKIP() << "needs the observability layer";
-  const auto dataset = MakeDataset(2000, 2, 4, 61);  // 8000 events.
-  ASSERT_LT(dataset.total_locations(), cost::kSegmentedSweepMinEvents);
+  const auto dataset = MakeDataset(2000, 2, 4, 61);
   const auto centers = SomeCenters(dataset, 4);
-  ThreadPool pool(8);
-  cost::ExpectedCostEvaluator::Options options;
-  options.sweep_pool = &pool;
-  cost::ExpectedCostEvaluator evaluator(options);
-  const uint64_t before = SegmentedSweeps();
-  ASSERT_TRUE(evaluator.UnassignedCost(dataset, centers).ok());
-  EXPECT_EQ(SegmentedSweeps(), before);
+  // The tail by definition: events strictly above max_i min_l d_il.
+  const auto offsets = dataset.offsets();
+  const auto sites = dataset.flat_sites();
+  double emission_start = 0.0;
+  for (size_t i = 0; i < dataset.n(); ++i) {
+    double first = std::numeric_limits<double>::infinity();
+    for (size_t l = offsets[i]; l < offsets[i + 1]; ++l) {
+      first = std::min(first, dataset.space().DistanceToSet(sites[l], centers));
+    }
+    emission_start = std::max(emission_start, first);
+  }
+  uint64_t tail = 0;
+  for (SiteId site : sites) {
+    tail += dataset.space().DistanceToSet(site, centers) > emission_start;
+  }
+  ASSERT_GT(tail, 0u);
+  ASSERT_LT(tail, dataset.total_locations());
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
+  obs::Counter* events = registry.GetCounter("ukc_sweep_events_total");
+  obs::Counter* tail_events = registry.GetCounter("ukc_sweep_tail_events_total");
+  for (int threads : {0, 1, 8}) {
+    ThreadPool pool(std::max(threads, 1));
+    cost::ExpectedCostEvaluator::Options options;
+    options.sweep_pool = threads > 0 ? &pool : nullptr;
+    cost::ExpectedCostEvaluator evaluator(options);
+    const uint64_t events_before = events->Value();
+    const uint64_t tail_before = tail_events->Value();
+    ASSERT_TRUE(evaluator.UnassignedCost(dataset, centers).ok());
+    EXPECT_EQ(events->Value() - events_before, dataset.total_locations())
+        << "threads=" << threads;
+    EXPECT_EQ(tail_events->Value() - tail_before, tail) << "threads=" << threads;
+  }
 }
 
-// Segment/boundary edge cases at engine scale: a stream where every key
-// is equal (one distinct value, maximal ties — where an unstable sort
-// would diverge), and a single variable holding every event.
+// Edge cases: a stream whose every key is equal (all mass tied at L,
+// no tail at all), one variable holding every event (L is its minimum,
+// nearly everything is tail), z = 1 (every CDF jumps straight to 1),
+// and n = 1 with z = 1.
 TEST(ParallelSweepTest, EdgeCaseStreamsMatch) {
   const double origin[2] = {0.0, 0.0};
-  {
-    const auto dataset = MakePlaneDataset(8192, 4, /*identical=*/true, 11);
-    ASSERT_GE(dataset.total_locations(), cost::kSegmentedSweepMinEvents);
+  const auto check = [&](const uncertain::UncertainDataset& dataset,
+                         const std::string& label) {
     const std::vector<SiteId> centers = {
         dataset.euclidean()->AddCoords(origin)};
-    ExpectSegmentedMatchesSerial(
+    ExpectPoolInvariantNearOldOrder(
         [&](cost::ExpectedCostEvaluator& evaluator) {
           return *evaluator.UnassignedCost(dataset, centers);
         },
-        "all keys equal");
-  }
+        OldOrderUnassignedCost(dataset, centers), label);
+  };
+  check(MakePlaneDataset(8192, 4, /*identical=*/true, 11), "all keys equal");
+  check(MakePlaneDataset(5000, 1, /*identical=*/false, 13), "z = 1");
+  check(MakePlaneDataset(1, 1, /*identical=*/false, 14), "n = 1, z = 1");
   {
     // One point, 32768 equally likely locations (1/32768 is a power of
     // two, so the probabilities sum to exactly 1).
     auto space = std::make_shared<metric::EuclideanSpace>(2);
     Rng rng(12);
-    const size_t z = cost::kSegmentedSweepMinEvents;
+    const size_t z = 32768;
     std::vector<uncertain::Location> locations;
     for (size_t l = 0; l < z; ++l) {
       const double coords[2] = {rng.UniformDouble(), rng.UniformDouble()};
@@ -246,33 +266,28 @@ TEST(ParallelSweepTest, EdgeCaseStreamsMatch) {
     points.push_back(
         std::move(uncertain::UncertainPoint::Build(std::move(locations)))
             .value());
-    const auto dataset =
-        std::move(uncertain::UncertainDataset::Build(space, std::move(points)))
-            .value();
-    const std::vector<SiteId> centers = {
-        dataset.euclidean()->AddCoords(origin)};
-    ExpectSegmentedMatchesSerial(
-        [&](cost::ExpectedCostEvaluator& evaluator) {
-          return *evaluator.UnassignedCost(dataset, centers);
-        },
-        "one point, uniform locations");
+    check(std::move(uncertain::UncertainDataset::Build(space,
+                                                       std::move(points)))
+              .value(),
+          "one point, uniform locations");
   }
 }
 
-// The generic ExpectedMaxOfIndependent entry point (non-CSR fill, its
-// own variable offsets), with heavy cross-variable ties.
+// The generic ExpectedMaxOfIndependent entry point (its own CSR view),
+// with heavy cross-variable ties and negative values, plus a one-
+// variable and an all-tied call.
 TEST(ParallelSweepTest, ExpectedMaxOfIndependentMatches) {
   Rng rng(321);
   std::vector<cost::DiscreteDistribution> distributions;
   size_t events = 0;
-  while (events < cost::kSegmentedSweepMinEvents + 1000) {
+  while (events < 40000) {
     cost::DiscreteDistribution d;
     const size_t support = 1 + static_cast<size_t>(rng.UniformDouble() * 5.0);
     double remaining = 1.0;
     for (size_t s = 0; s < support; ++s) {
-      // Quantized values: plenty of exact ties within and across
-      // variables.
-      const double value = std::floor(rng.UniformDouble() * 8.0) / 4.0;
+      // Quantized values in [-1, 1): plenty of exact ties within and
+      // across variables.
+      const double value = std::floor(rng.UniformDouble() * 8.0) / 4.0 - 1.0;
       const double p = s + 1 == support ? remaining : remaining / 2.0;
       remaining -= p;
       d.emplace_back(value, p);
@@ -280,17 +295,30 @@ TEST(ParallelSweepTest, ExpectedMaxOfIndependentMatches) {
     events += d.size();
     distributions.push_back(std::move(d));
   }
-  ExpectSegmentedMatchesSerial(
-      [&](cost::ExpectedCostEvaluator& evaluator) {
-        return evaluator.ExpectedMaxOfIndependent(distributions);
-      },
-      "ExpectedMaxOfIndependent");
+  const auto check = [](const std::vector<cost::DiscreteDistribution>& d,
+                        const std::string& label) {
+    ExpectPoolInvariantNearOldOrder(
+        [&](cost::ExpectedCostEvaluator& evaluator) {
+          return evaluator.ExpectedMaxOfIndependent(d);
+        },
+        OldOrderExpectedMax(d), label);
+  };
+  check(distributions, "quantized, negative values");
+  check({{{-3.0, 0.25}, {-1.0, 0.5}, {-2.0, 0.25}}}, "one variable");
+  check({{{-0.5, 1.0}}, {{-0.5, 0.5}, {-0.5, 0.5}}, {{-0.5, 1.0}}},
+        "all mass tied at L");
+  // Hand-checked: max(X, Y) with X uniform on {-3, -1}, Y = -2 is -2
+  // or -1 with probability 1/2 each.
+  cost::ExpectedCostEvaluator evaluator;
+  EXPECT_EQ(evaluator.ExpectedMaxOfIndependent(
+                std::vector<cost::DiscreteDistribution>{
+                    {{-3.0, 0.5}, {-1.0, 0.5}}, {{-2.0, 1.0}}}),
+            -1.5);
 }
 
 // The consumer: SolveUncertainKCenter's exact evaluations borrow the
-// run's pool, so at engine scale threads > 1 goes through the segmented
-// sweep — both costs must equal the threads = 1 run and a no-pool
-// evaluator bit for bit.
+// run's pool, so both costs must equal the threads = 1 run and a
+// no-pool evaluator bit for bit.
 TEST(ParallelSweepTest, SolveCostsAreThreadCountInvariant) {
   // Each solve mints its surrogate sites into the dataset's space, so
   // every run gets a fresh copy of the instance (same site ids).
@@ -304,7 +332,6 @@ TEST(ParallelSweepTest, SolveCostsAreThreadCountInvariant) {
     return std::move(solution).value();
   };
   auto dataset = MakeDataset(8200, 2, 4, 808);
-  ASSERT_GE(dataset.total_locations(), cost::kSegmentedSweepMinEvents);
   const auto reference = solve(1, &dataset);
   cost::ExpectedCostEvaluator serial;
   EXPECT_EQ(reference.expected_cost,
@@ -313,17 +340,50 @@ TEST(ParallelSweepTest, SolveCostsAreThreadCountInvariant) {
             *serial.UnassignedCost(dataset, reference.centers));
   for (int threads : {2, 4, 8}) {
     auto fresh = MakeDataset(8200, 2, 4, 808);
-    const uint64_t before = SegmentedSweeps();
     const auto solution = solve(threads, &fresh);
     EXPECT_EQ(solution.centers, reference.centers) << "threads=" << threads;
     EXPECT_EQ(solution.expected_cost, reference.expected_cost)
         << "threads=" << threads;
     EXPECT_EQ(solution.unassigned_cost, reference.unassigned_cost)
         << "threads=" << threads;
-    if (obs::kEnabled) {
-      EXPECT_GE(SegmentedSweeps(), before + 2) << "threads=" << threads;
+  }
+}
+
+// The swap tables against fresh sweeps on the outlier family (n ≈ 2e4,
+// the shape local search runs on): every SwapCostMatrix value must be
+// within 3e-13 relative of a fresh UnassignedCost of the swapped set.
+TEST(ParallelSweepTest, SwapMatrixTracksFreshSweepsOnOutliers) {
+  exper::InstanceSpec spec;
+  spec.family = exper::Family::kOutlier;
+  spec.n = 20000;
+  spec.k = 8;
+  spec.seed = 77;
+  const auto dataset = std::move(exper::MakeInstance(spec)).value();
+  const auto centers = SomeCenters(dataset, 8);
+  const auto sites = dataset.LocationSites();
+  std::vector<SiteId> pool;
+  for (size_t c = 0; c < 12; ++c) {
+    pool.push_back(sites[(c * 7919 + 13) % sites.size()]);
+  }
+  cost::ParallelCandidateEvaluator::Options options;
+  options.threads = 4;
+  cost::ParallelCandidateEvaluator parallel(options);
+  const auto values = *parallel.SwapCostMatrix(dataset, centers, pool);
+  cost::ExpectedCostEvaluator fresh;
+  double worst = 0.0;
+  for (size_t p = 0; p < centers.size(); ++p) {
+    for (size_t c = 0; c < pool.size(); ++c) {
+      std::vector<SiteId> swapped = centers;
+      swapped[p] = pool[c];
+      const double want = *fresh.UnassignedCost(dataset, swapped);
+      const double gap = RelativeGap(values[p * pool.size() + c], want);
+      worst = std::max(worst, gap);
+      EXPECT_LE(gap, 3e-13) << "position " << p << " candidate " << c;
     }
   }
+  std::ostringstream worst_gap;
+  worst_gap << worst;
+  RecordProperty("worst_relative_gap", worst_gap.str());
 }
 
 // Compacted ladder vs filled ladder over a swap matrix whose
