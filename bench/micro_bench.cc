@@ -87,35 +87,53 @@ void BM_GeometricMedianSurrogates(benchmark::State& state) {
 }
 BENCHMARK(BM_GeometricMedianSurrogates)->Arg(1000)->Arg(4000);
 
+// Farthest-first over n one-location points for k rounds, its rounds
+// sharded over a pool of state.range(2) threads (1 = serial). Centers
+// and radius are bitwise identical at every pool size
+// (tests/solver_kcenter_test.cc).
 void BM_Gonzalez(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   const size_t k = static_cast<size_t>(state.range(1));
   auto dataset = MakeDataset(n, 1);
   const auto sites = dataset.LocationSites();
+  ThreadPool pool(static_cast<int>(state.range(2)));
+  solver::GonzalezOptions options;
+  options.pool = &pool;
   for (auto _ : state) {
-    auto solution = solver::Gonzalez(dataset.space(), sites, k);
+    auto solution = solver::Gonzalez(dataset.space(), sites, k, options);
     benchmark::DoNotOptimize(solution);
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n * k));
 }
 BENCHMARK(BM_Gonzalez)
-    ->Args({1000, 8})
-    ->Args({4000, 8})
-    ->Args({16000, 8})
-    ->Args({4000, 32});
+    ->Args({1000, 8, 1})
+    ->Args({4000, 8, 1})
+    ->Args({16000, 8, 1})
+    ->Args({4000, 32, 1})
+    ->Args({1000000, 8, 1})
+    ->Args({1000000, 8, 4})
+    ->UseRealTime();
 
+// The ED assignment of n four-location points to 8 centers, its points
+// sharded over a pool of state.range(1) threads (1 = serial).
 void BM_AssignExpectedDistance(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   auto dataset = MakeDataset(n);
   const auto sites = dataset.LocationSites();
   auto centers = solver::Gonzalez(dataset.space(), sites, 8);
+  ThreadPool pool(static_cast<int>(state.range(1)));
   for (auto _ : state) {
-    auto assignment = cost::AssignExpectedDistance(dataset, centers->centers);
+    auto assignment =
+        cost::AssignExpectedDistance(dataset, centers->centers, 1, &pool);
     benchmark::DoNotOptimize(assignment);
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
 }
-BENCHMARK(BM_AssignExpectedDistance)->Arg(1000)->Arg(4000)->Arg(10000);
+BENCHMARK(BM_AssignExpectedDistance)
+    ->ArgsProduct({{1000, 4000, 10000}, {1}})
+    ->Args({1000000, 1})
+    ->Args({1000000, 4})
+    ->UseRealTime();
 
 void BM_ExactExpectedCost(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

@@ -32,20 +32,24 @@ ThreadPool::~ThreadPool() {
 void ThreadPool::RunJob(int worker) {
   const std::function<void(int, size_t)>& fn = *job_;
   const size_t count = job_count_;
-  for (size_t index = next_.fetch_add(1, std::memory_order_relaxed);
-       index < count;
-       index = next_.fetch_add(1, std::memory_order_relaxed)) {
-    if (job_aborted_.load(std::memory_order_relaxed)) return;
-    try {
-      fn(worker, index);
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++job_exception_count_;
-      if (job_exception_ == nullptr) {
-        job_exception_ = std::current_exception();
+  const size_t grain = job_grain_;
+  for (size_t begin = next_.fetch_add(grain, std::memory_order_relaxed);
+       begin < count;
+       begin = next_.fetch_add(grain, std::memory_order_relaxed)) {
+    const size_t end = std::min(count, begin + grain);
+    for (size_t index = begin; index < end; ++index) {
+      if (job_aborted_.load(std::memory_order_relaxed)) return;
+      try {
+        fn(worker, index);
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(mutex_);
+        ++job_exception_count_;
+        if (job_exception_ == nullptr) {
+          job_exception_ = std::current_exception();
+        }
+        job_aborted_.store(true, std::memory_order_relaxed);
+        return;
       }
-      job_aborted_.store(true, std::memory_order_relaxed);
-      return;
     }
   }
 }
@@ -84,6 +88,7 @@ void ThreadPool::ParallelFor(size_t count,
     UKC_CHECK(job_ == nullptr) << "ThreadPool jobs do not nest";
     job_ = &fn;
     job_count_ = count;
+    job_grain_ = std::max<size_t>(1, count / (kClaimsPerWorker * num_threads()));
     next_.store(0, std::memory_order_relaxed);
     finished_workers_ = 0;
     job_aborted_.store(false, std::memory_order_relaxed);

@@ -1,6 +1,7 @@
 #include "core/surrogates.h"
 
 #include <limits>
+#include <numeric>
 
 #include "common/thread_pool.h"
 #include "geometry/point.h"
@@ -106,39 +107,38 @@ Result<std::vector<SiteId>> BuildSurrogates(uncertain::UncertainDataset* dataset
 
   // Euclidean surrogates are new points: compute every point's
   // coordinates in parallel (pure reads of the arena), then mint them
-  // serially in point order — the arena may reallocate while growing,
-  // so no reader can run concurrently with AddCoords. Serial minting
-  // also keeps the produced site ids thread-count independent.
+  // all with one arena append in point order — the arena may reallocate
+  // while growing, so no reader can run concurrently with the append.
+  // Minting in point order keeps the site ids thread-count independent.
   const bool euclidean_coords =
       euclidean != nullptr && (options.kind == SurrogateKind::kExpectedPoint ||
                                options.kind == SurrogateKind::kOneCenter);
   if (euclidean_coords) {
     const size_t dim = euclidean->dim();
     std::vector<double> surrogate_coords(n * dim);
-    std::vector<Status> statuses(n);
-    // Weiszfeld gather scratch, one pair per worker, reused across all
-    // of that worker's points.
-    std::vector<std::vector<double>> coord_scratch(pool->num_threads());
-    std::vector<std::vector<double>> weight_scratch(pool->num_threads());
-    pool->ParallelFor(n, [&](int worker, size_t i) {
-      double* out = surrogate_coords.data() + i * dim;
-      if (options.kind == SurrogateKind::kExpectedPoint) {
-        ExpectedPointCoords(*dataset, *euclidean, i, out);
-      } else {
-        statuses[i] = EuclideanOneCenterCoords(*dataset, *euclidean, i,
-                                               &coord_scratch[worker],
-                                               &weight_scratch[worker], out);
+    if (options.kind == SurrogateKind::kExpectedPoint) {
+      pool->ParallelFor(n, [&](int, size_t i) {
+        ExpectedPointCoords(*dataset, *euclidean, i,
+                            surrogate_coords.data() + i * dim);
+      });
+    } else {
+      // Only the Weiszfeld path can fail. Its gather scratch is one
+      // pair per worker, reused across all of that worker's points.
+      std::vector<Status> statuses(n);
+      std::vector<std::vector<double>> coord_scratch(pool->num_threads());
+      std::vector<std::vector<double>> weight_scratch(pool->num_threads());
+      pool->ParallelFor(n, [&](int worker, size_t i) {
+        statuses[i] = EuclideanOneCenterCoords(
+            *dataset, *euclidean, i, &coord_scratch[worker],
+            &weight_scratch[worker], surrogate_coords.data() + i * dim);
+      });
+      for (Status& status : statuses) {
+        if (!status.ok()) return std::move(status);
       }
-    });
-    for (Status& status : statuses) {
-      if (!status.ok()) return std::move(status);
     }
-    std::vector<SiteId> surrogates;
-    surrogates.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      surrogates.push_back(
-          euclidean->AddCoords(surrogate_coords.data() + i * dim));
-    }
+    std::vector<SiteId> surrogates(n);
+    std::iota(surrogates.begin(), surrogates.end(),
+              euclidean->AppendCoords(surrogate_coords.data(), n));
     return surrogates;
   }
 

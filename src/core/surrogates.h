@@ -57,8 +57,8 @@ struct SurrogateOptions {
   OneCenterCandidates candidates = OneCenterCandidates::kAllSites;
   /// Workers sharding the per-point surrogate computation (<= 0 =
   /// hardware threads). Surrogates are computed in parallel but minted
-  /// into the space serially in point order, so the produced site ids
-  /// and coordinates do not depend on the thread count.
+  /// into the space in one append in point order, so the produced site
+  /// ids and coordinates do not depend on the thread count.
   int threads = 1;
   /// Borrowed shared worker pool; when set, `threads` is ignored and no
   /// private pool is constructed (see ScopedPool in common/thread_pool.h).

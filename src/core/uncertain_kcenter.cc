@@ -64,8 +64,7 @@ Result<UncertainKCenterSolution> SolveUncertainKCenter(
 
   // One worker pool for the whole run: borrowed from the caller when
   // options.pool is set, otherwise constructed once here and shared by
-  // the surrogate and assignment stages (threads = 1 stays a zero-cost
-  // inline pool).
+  // every stage (threads = 1 stays a zero-cost inline pool).
   ScopedPool pool(options.pool, options.threads);
 
   // 1. Surrogates.
@@ -81,7 +80,8 @@ Result<UncertainKCenterSolution> SolveUncertainKCenter(
   }
 
   // 2. Deterministic k-center on the surrogates, sharing the run's
-  // pool with solvers that parallelize (gonzalez-refined).
+  // pool with the solvers that parallelize (Gonzalez rounds, the
+  // gonzalez-refined refinement).
   UKC_RETURN_IF_ERROR(options.deadline.Check("SolveUncertainKCenter[cluster]"));
   {
     UKC_OBS_TIMER(StageHistograms().cluster);
@@ -126,7 +126,7 @@ Result<UncertainKCenterSolution> SolveUncertainKCenter(
         UKC_ASSIGN_OR_RETURN(
             solution.assignment,
             cost::AssignBySurrogate(*dataset, expected_points,
-                                    solution.centers));
+                                    solution.centers, pool.get()));
         break;
       }
       case cost::AssignmentRule::kOneCenter: {
@@ -143,7 +143,8 @@ Result<UncertainKCenterSolution> SolveUncertainKCenter(
         }
         UKC_ASSIGN_OR_RETURN(
             solution.assignment,
-            cost::AssignBySurrogate(*dataset, one_centers, solution.centers));
+            cost::AssignBySurrogate(*dataset, one_centers, solution.centers,
+                                    pool.get()));
         break;
       }
     }

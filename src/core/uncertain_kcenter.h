@@ -45,13 +45,14 @@ struct UncertainKCenterOptions {
   /// Also evaluate the unassigned cost E[max_i d(P̂_i, C)] (the min is
   /// taken inside the expectation). Costs one extra exact sweep.
   bool evaluate_unassigned = false;
-  /// Workers sharding the surrogate construction and the ED assignment
-  /// (<= 0 = hardware threads). The solution does not depend on this.
+  /// Workers sharding every stage: the surrogate construction, the
+  /// Gonzalez rounds, the assignment and the exact sweeps (<= 0 =
+  /// hardware threads). The solution does not depend on this.
   int threads = 1;
   /// Borrowed shared worker pool. When set, `threads` is ignored and
-  /// every stage of the run (surrogates, assignment) shares this pool
-  /// instead of constructing private ones — the hook the streaming
-  /// pipeline (stream/pipeline.h) uses to pay worker spawn once.
+  /// every stage of the run shares this pool instead of constructing
+  /// private ones — the hook the streaming pipeline
+  /// (stream/pipeline.h) uses to pay worker spawn once.
   ThreadPool* pool = nullptr;
   /// Cancellation/budget token checked between pipeline phases
   /// (surrogates → clustering → assignment → evaluation) and inside
@@ -92,6 +93,14 @@ struct UncertainKCenterSolution {
 /// each stage is observed into the default registry's histogram
 /// `ukc_solve_stage_seconds{stage=surrogate|cluster|assign|evaluate}`
 /// (obs/metrics.h); readers take it from a registry snapshot.
+///
+/// The minted sites are never reclaimed. Every call with the P̄ or the
+/// Euclidean P̃ surrogate appends n more (solution.surrogates holds
+/// their ids), and the EP rule over another surrogate appends n
+/// expected points on top. The space's coordinate arena therefore
+/// grows by n * dim doubles per call, 16 MB per solve at n = 10^6,
+/// d = 2, and a caller that solves one large dataset many times keeps
+/// every earlier solve's sites.
 Result<UncertainKCenterSolution> SolveUncertainKCenter(
     uncertain::UncertainDataset* dataset, const UncertainKCenterOptions& options);
 

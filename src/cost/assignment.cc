@@ -73,7 +73,8 @@ Result<Assignment> AssignExpectedDistance(
 
 Result<Assignment> AssignBySurrogate(const uncertain::UncertainDataset& dataset,
                                      const std::vector<metric::SiteId>& surrogates,
-                                     const std::vector<metric::SiteId>& centers) {
+                                     const std::vector<metric::SiteId>& centers,
+                                     ThreadPool* shared_pool) {
   if (centers.empty()) {
     return Status::InvalidArgument("AssignBySurrogate: no centers");
   }
@@ -83,9 +84,10 @@ Result<Assignment> AssignBySurrogate(const uncertain::UncertainDataset& dataset,
                   surrogates.size(), dataset.n()));
   }
   Assignment assignment(dataset.n(), metric::kInvalidSite);
-  for (size_t i = 0; i < dataset.n(); ++i) {
+  ScopedPool pool(shared_pool, 1);
+  pool->ParallelFor(dataset.n(), [&](int, size_t i) {
     assignment[i] = dataset.space().NearestInSet(surrogates[i], centers);
-  }
+  });
   return assignment;
 }
 

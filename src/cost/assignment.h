@@ -48,9 +48,12 @@ Result<Assignment> AssignExpectedDistance(const uncertain::UncertainDataset& dat
 
 /// Surrogate rule (EP/OC): assigns point i to the center nearest to
 /// surrogates[i]. surrogates must have one site per uncertain point.
+/// The per-point nearest-center scans shard over `pool` when it is set
+/// (null = serial); the result does not depend on its thread count.
 Result<Assignment> AssignBySurrogate(const uncertain::UncertainDataset& dataset,
                                      const std::vector<metric::SiteId>& surrogates,
-                                     const std::vector<metric::SiteId>& centers);
+                                     const std::vector<metric::SiteId>& centers,
+                                     ThreadPool* pool = nullptr);
 
 /// Validates that an assignment maps every point to one of `centers`.
 Status ValidateAssignment(const uncertain::UncertainDataset& dataset,

@@ -53,8 +53,14 @@ SiteId EuclideanSpace::AddPoint(const geometry::Point& point) {
 }
 
 SiteId EuclideanSpace::AddCoords(const double* data) {
-  coords_.insert(coords_.end(), data, data + dim_);
-  return num_sites_++;
+  return AppendCoords(data, 1);
+}
+
+SiteId EuclideanSpace::AppendCoords(const double* data, size_t count) {
+  coords_.insert(coords_.end(), data, data + count * dim_);
+  const SiteId first = num_sites_;
+  num_sites_ += static_cast<SiteId>(count);
+  return first;
 }
 
 void EuclideanSpace::CheckSite(SiteId id) const {

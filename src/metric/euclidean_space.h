@@ -84,6 +84,12 @@ class EuclideanSpace : public MetricSpace {
   /// Appends a point given by a raw coordinate array of length dim().
   SiteId AddCoords(const double* data);
 
+  /// Appends `count` points given by a row-major block of count * dim()
+  /// doubles in one arena append. Returns the id of the first; the
+  /// others follow consecutively, exactly as `count` AddCoords calls
+  /// would number them.
+  SiteId AppendCoords(const double* data, size_t count);
+
   /// Raw coordinates of a site (length dim()). Stable until AddPoint
   /// (the arena may reallocate on growth, like vector iterators).
   const double* coords(SiteId id) const {

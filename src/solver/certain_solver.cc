@@ -33,16 +33,19 @@ Result<KCenterSolution> SolveCertainKCenter(
   if (space == nullptr) {
     return Status::InvalidArgument("SolveCertainKCenter: null space");
   }
+  GonzalezOptions gonzalez_options;
+  gonzalez_options.pool = options.pool;
   switch (options.kind) {
     case CertainSolverKind::kGonzalez:
-      return Gonzalez(*space, sites, k);
+      return Gonzalez(*space, sites, k, gonzalez_options);
     case CertainSolverKind::kHochbaumShmoys: {
       UKC_ASSIGN_OR_RETURN(ThresholdSolution threshold,
                            HochbaumShmoys(*space, sites, k));
       return threshold.solution;
     }
     case CertainSolverKind::kGonzalezRefined: {
-      UKC_ASSIGN_OR_RETURN(KCenterSolution seed, Gonzalez(*space, sites, k));
+      UKC_ASSIGN_OR_RETURN(KCenterSolution seed,
+                           Gonzalez(*space, sites, k, gonzalez_options));
       RefineOptions refine_options;
       refine_options.seed = options.seed;
       refine_options.pool = options.pool;

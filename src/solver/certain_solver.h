@@ -50,7 +50,8 @@ struct CertainSolverOptions {
   /// Budget caps forwarded to the exact solvers.
   uint64_t max_enumerations = 20'000'000;
   /// Borrowed shared worker pool, forwarded to the solvers that
-  /// parallelize (currently kGonzalezRefined's refinement rounds).
+  /// parallelize (Gonzalez rounds, and kGonzalezRefined's seed and
+  /// refinement rounds).
   /// Null = each such solver constructs its own (see ScopedPool).
   ThreadPool* pool = nullptr;
 };

@@ -316,36 +316,52 @@ TEST(ParallelSweepTest, ExpectedMaxOfIndependentMatches) {
             -1.5);
 }
 
-// The consumer: SolveUncertainKCenter's exact evaluations borrow the
-// run's pool, so both costs must equal the threads = 1 run and a
-// no-pool evaluator bit for bit.
+// The consumer: every SolveUncertainKCenter stage borrows the run's
+// pool (surrogates, Gonzalez rounds, assignment, the exact sweeps), so
+// under each assignment rule the whole solution — surrogates, centers,
+// certain radius, assignment and both costs — must equal the
+// threads = 1 run bit for bit, and the costs a no-pool evaluator's.
 TEST(ParallelSweepTest, SolveCostsAreThreadCountInvariant) {
   // Each solve mints its surrogate sites into the dataset's space, so
   // every run gets a fresh copy of the instance (same site ids).
-  const auto solve = [](int threads, uncertain::UncertainDataset* dataset) {
+  const auto solve = [](cost::AssignmentRule rule, int threads,
+                        uncertain::UncertainDataset* dataset) {
     core::UncertainKCenterOptions options;
     options.k = 6;
+    options.rule = rule;
     options.evaluate_unassigned = true;
     options.threads = threads;
     auto solution = core::SolveUncertainKCenter(dataset, options);
     EXPECT_TRUE(solution.ok()) << solution.status();
     return std::move(solution).value();
   };
-  auto dataset = MakeDataset(8200, 2, 4, 808);
-  const auto reference = solve(1, &dataset);
-  cost::ExpectedCostEvaluator serial;
-  EXPECT_EQ(reference.expected_cost,
-            *serial.AssignedCost(dataset, reference.assignment));
-  EXPECT_EQ(reference.unassigned_cost,
-            *serial.UnassignedCost(dataset, reference.centers));
-  for (int threads : {2, 4, 8}) {
-    auto fresh = MakeDataset(8200, 2, 4, 808);
-    const auto solution = solve(threads, &fresh);
-    EXPECT_EQ(solution.centers, reference.centers) << "threads=" << threads;
-    EXPECT_EQ(solution.expected_cost, reference.expected_cost)
-        << "threads=" << threads;
-    EXPECT_EQ(solution.unassigned_cost, reference.unassigned_cost)
-        << "threads=" << threads;
+  for (cost::AssignmentRule rule :
+       {cost::AssignmentRule::kExpectedDistance,
+        cost::AssignmentRule::kExpectedPoint,
+        cost::AssignmentRule::kOneCenter}) {
+    SCOPED_TRACE(cost::AssignmentRuleToString(rule));
+    auto dataset = MakeDataset(8200, 2, 4, 808);
+    const auto reference = solve(rule, 1, &dataset);
+    cost::ExpectedCostEvaluator serial;
+    EXPECT_EQ(reference.expected_cost,
+              *serial.AssignedCost(dataset, reference.assignment));
+    EXPECT_EQ(reference.unassigned_cost,
+              *serial.UnassignedCost(dataset, reference.centers));
+    for (int threads : {2, 4, 8}) {
+      auto fresh = MakeDataset(8200, 2, 4, 808);
+      const auto solution = solve(rule, threads, &fresh);
+      EXPECT_EQ(solution.surrogates, reference.surrogates)
+          << "threads=" << threads;
+      EXPECT_EQ(solution.centers, reference.centers) << "threads=" << threads;
+      EXPECT_EQ(solution.certain_radius, reference.certain_radius)
+          << "threads=" << threads;
+      EXPECT_EQ(solution.assignment, reference.assignment)
+          << "threads=" << threads;
+      EXPECT_EQ(solution.expected_cost, reference.expected_cost)
+          << "threads=" << threads;
+      EXPECT_EQ(solution.unassigned_cost, reference.unassigned_cost)
+          << "threads=" << threads;
+    }
   }
 }
 

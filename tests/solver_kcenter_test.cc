@@ -7,8 +7,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "metric/euclidean_space.h"
 #include "metric/matrix_space.h"
 #include "solver/brute_force.h"
@@ -102,6 +104,92 @@ TEST(GonzalezTest, CentersAreDistinctSites) {
   auto centers = solution->centers;
   std::sort(centers.begin(), centers.end());
   EXPECT_EQ(std::unique(centers.begin(), centers.end()), centers.end());
+}
+
+// Plain serial farthest-first: one scan per round, the first strict-`>`
+// maximum wins. The sharded Gonzalez must reproduce it bit for bit.
+KCenterSolution SerialFarthestFirst(const metric::MetricSpace& space,
+                                    const std::vector<SiteId>& sites,
+                                    size_t k) {
+  KCenterSolution solution;
+  std::vector<double> nearest(sites.size(),
+                              std::numeric_limits<double>::infinity());
+  size_t next = 0;
+  for (size_t round = 0; round < k; ++round) {
+    solution.centers.push_back(sites[next]);
+    double farthest = -1.0;
+    size_t farthest_index = 0;
+    for (size_t i = 0; i < sites.size(); ++i) {
+      nearest[i] = std::min(nearest[i], space.Distance(sites[i], sites[next]));
+      if (nearest[i] > farthest) {
+        farthest = nearest[i];
+        farthest_index = i;
+      }
+    }
+    next = farthest_index;
+    solution.radius = farthest;
+  }
+  return solution;
+}
+
+// Runs Gonzalez without a pool and on pools of {1, 2, 8} threads; every
+// run must equal the serial scan exactly (centers and radius bits).
+void ExpectShardedMatchesSerial(const EuclideanSpace& space, size_t k) {
+  const auto sites = AllSites(space);
+  const KCenterSolution serial = SerialFarthestFirst(space, sites, k);
+  auto unpooled = Gonzalez(space, sites, k);
+  ASSERT_TRUE(unpooled.ok());
+  EXPECT_EQ(unpooled->centers, serial.centers);
+  EXPECT_EQ(unpooled->radius, serial.radius);
+  for (int threads : {1, 2, 8}) {
+    ThreadPool pool(threads);
+    GonzalezOptions options;
+    options.pool = &pool;
+    auto sharded = Gonzalez(space, sites, k, options);
+    ASSERT_TRUE(sharded.ok());
+    EXPECT_EQ(sharded->centers, serial.centers) << "threads=" << threads;
+    EXPECT_EQ(sharded->radius, serial.radius) << "threads=" << threads;
+  }
+}
+
+TEST(GonzalezTest, ShardedRoundsMatchTheSerialScan) {
+  ExpectShardedMatchesSerial(RandomSpace(40000, 2, 21), 10);
+}
+
+TEST(GonzalezTest, ShardedTiesGoToTheFirstFarthestSite) {
+  // Duplicates of the farthest points sit on both sides of shard
+  // boundaries (multiples of 4096 and 8192 for the shard sizes this
+  // n gets), so a combine that preferred a later shard's maximum would
+  // pick the second copy — a different site id at the same spot.
+  const size_t n = 32768;
+  EuclideanSpace space(2);
+  Rng rng(22);
+  for (size_t i = 0; i < n; ++i) {
+    Point p{rng.UniformDouble(0.0, 1.0), rng.UniformDouble(0.0, 1.0)};
+    if (i == 4095 || i == 4096 || i == 8191 || i == 8192) {
+      p = Point{1000.0, 1000.0};
+    }
+    if (i == 16383 || i == 16384) p = Point{-300.0, 0.0};
+    if (i == 24575 || i == 24576) p = Point{0.0, -200.0};
+    space.AddPoint(std::move(p));
+  }
+  const KCenterSolution serial =
+      SerialFarthestFirst(space, AllSites(space), 4);
+  EXPECT_EQ(serial.centers, (std::vector<SiteId>{0, 4095, 16383, 24575}));
+  ExpectShardedMatchesSerial(space, 8);
+
+  // A coarse integer grid: nearly every distance is tied with many
+  // others in every shard.
+  EuclideanSpace grid(2);
+  for (size_t i = 0; i < 20000; ++i) {
+    grid.AddPoint(Point{static_cast<double>(rng.UniformInt(0, 4)),
+                        static_cast<double>(rng.UniformInt(0, 4))});
+  }
+  ExpectShardedMatchesSerial(grid, 12);
+}
+
+TEST(GonzalezTest, SitesFewerThanOneShardStillMatch) {
+  ExpectShardedMatchesSerial(RandomSpace(100, 3, 23), 7);
 }
 
 // Parameterized 2-approximation sweep: Gonzalez radius <= 2 * discrete

@@ -36,6 +36,35 @@ TEST(ThreadPoolTest, RunsEveryIndexExactlyOnce) {
   }
 }
 
+// Workers claim contiguous ranges of max(1, count / (16 T)) indices:
+// the counts around 16 T are where the grain turns from 1 to 2, and
+// 10^6 + 7 leaves a short last range. Every index must still run
+// exactly once, and each worker's indices run in ascending order.
+TEST(ThreadPoolTest, RangeClaimsRunEveryIndexExactlyOnce) {
+  for (int threads : {1, 2, 8}) {
+    ThreadPool pool(threads);
+    const size_t t16 = 16 * static_cast<size_t>(threads);
+    for (size_t count : {size_t{0}, size_t{1}, t16 - 1, t16, t16 + 1,
+                         size_t{1000007}}) {
+      std::vector<std::atomic<int>> counts(count);
+      std::vector<size_t> last(threads, 0);
+      std::vector<int> ascending(threads, 1);
+      pool.ParallelFor(count, [&](int worker, size_t i) {
+        counts[i].fetch_add(1, std::memory_order_relaxed);
+        if (i < last[worker]) ascending[worker] = 0;
+        last[worker] = i;
+      });
+      size_t wrong = 0;
+      for (size_t i = 0; i < count; ++i) wrong += counts[i].load() != 1;
+      EXPECT_EQ(wrong, 0u) << "threads=" << threads << " count=" << count;
+      for (int w = 0; w < threads; ++w) {
+        EXPECT_EQ(ascending[w], 1) << "threads=" << threads
+                                   << " count=" << count << " worker=" << w;
+      }
+    }
+  }
+}
+
 TEST(ThreadPoolTest, ThrowingJobRethrowsOnBorrowingThread) {
   ThreadPool pool(4);
   EXPECT_THROW(
